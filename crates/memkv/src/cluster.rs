@@ -691,6 +691,17 @@ impl KvCluster {
     }
 }
 
+/// A request reached a crashed node. The read helpers return this rather
+/// than [`KvError`]: reads are never epoch-fenced, so a down owner is the
+/// only way one can fail.
+struct Down(NodeId);
+
+impl From<Down> for KvError {
+    fn from(Down(n): Down) -> Self {
+        KvError::NodeDown(n)
+    }
+}
+
 /// Per-node client handle; all methods charge simulated costs.
 #[derive(Clone)]
 pub struct KvClient {
@@ -713,12 +724,12 @@ impl KvClient {
     /// Charge the network hop, check liveness, then charge shard service
     /// (with any fault-plane slow-down). A request to a crashed node pays
     /// the hop — the packet travelled before the timeout — but no shard
-    /// service, and surfaces [`KvError::NodeDown`].
-    fn access(&self, target: NodeId, payload_len: usize) -> Result<(), KvError> {
+    /// service, and surfaces [`Down`].
+    fn access(&self, target: NodeId, payload_len: usize) -> Result<(), Down> {
         self.charge_hop(target);
         let idx = self.cluster.node_index(target);
         if !self.cluster.up[idx].load(Ordering::Acquire) {
-            return Err(KvError::NodeDown(target));
+            return Err(Down(target));
         }
         let p = &self.cluster.profile;
         let extra = self.cluster.slowdown_ns[idx].load(Ordering::Acquire);
@@ -757,7 +768,7 @@ impl KvClient {
         old: NodeId,
         new: NodeId,
         key: &[u8],
-    ) -> Result<Option<(Value, u64)>, KvError> {
+    ) -> Result<Option<(Value, u64)>, Down> {
         self.access(new, 0)?;
         if let Some(hit) = self.cluster.shard(new).get(key) {
             return Ok(Some(hit));
@@ -769,27 +780,8 @@ impl KvClient {
         }
     }
 
-    fn fault_panic(e: KvError) -> ! {
-        match e {
-            KvError::NodeDown(n) => {
-                panic!("kv access to crashed node {n:?}; use the try_* surface to handle faults")
-            }
-            KvError::WrongEpoch { seen, current } => {
-                panic!("kv op fenced on stale epoch {seen} (current {current}); refresh and retry")
-            }
-        }
-    }
-
-    /// `gets`: value and CAS version.
-    pub fn get(&self, key: &[u8]) -> Option<(Value, u64)> {
-        match self.try_get(key) {
-            Ok(v) => v,
-            Err(e) => Self::fault_panic(e),
-        }
-    }
-
-    /// Fault-aware `gets`: surfaces [`KvError::NodeDown`] for crashed
-    /// shards instead of panicking.
+    /// `gets`: value and CAS version. A crashed owner surfaces
+    /// [`KvError::NodeDown`].
     pub fn try_get(&self, key: &[u8]) -> Result<Option<(Value, u64)>, KvError> {
         let s = self.cluster.router.state.read();
         match self.cluster.decide(&s, key) {
@@ -797,7 +789,7 @@ impl KvClient {
                 self.access(n, 0)?;
                 Ok(self.cluster.shard(n).get(key))
             }
-            Target::Migrating { old, new } => self.get_migrating(old, new, key),
+            Target::Migrating { old, new } => Ok(self.get_migrating(old, new, key)?),
         }
     }
 
@@ -805,34 +797,14 @@ impl KvClient {
     /// network hop plus one batched shard service per node group instead
     /// of a full round trip per key (the read-side analogue of group
     /// commit). Results are in input order; a missing key yields `None`.
-    pub fn multi_gets(&self, keys: &[&[u8]]) -> Vec<Option<(Value, u64)>> {
-        match self.try_multi_gets(keys) {
-            Ok(out) => out,
-            Err(e) => Self::fault_panic(e),
-        }
-    }
-
-    /// Fault-aware [`multi_gets`](Self::multi_gets): if *any* owning node
-    /// is down the whole batch fails with [`KvError::NodeDown`] — a batch
-    /// with a hole would force callers to guess which misses are real.
-    /// The batch is scatter-gathered in full, so hops charged to healthy
-    /// groups stand (the packets flew). Callers that can use a batch with
-    /// holes should prefer
-    /// [`try_multi_gets_partial`](Self::try_multi_gets_partial).
-    pub fn try_multi_gets(&self, keys: &[&[u8]]) -> Result<Vec<Option<(Value, u64)>>, KvError> {
-        let partial = self.try_multi_gets_partial(keys);
-        match partial.failed.first() {
-            Some((node, _)) => Err(KvError::NodeDown(*node)),
-            None => Ok(partial.results),
-        }
-    }
-
-    /// Partial-failure batched `gets`: every healthy node group's results
-    /// are returned even when another group's node is down mid-batch —
-    /// the unfetched keys are reported per down node instead of poisoning
-    /// the whole batch. Keys in mid-migration ranges are routed
-    /// individually (new owner first, old-owner fallback) — the
-    /// documented read amplification of a live reshard.
+    ///
+    /// Fault-isolated per node group: every healthy group's results are
+    /// returned even when another group's node is down mid-batch — the
+    /// unfetched keys are reported per down node instead of poisoning the
+    /// whole batch (hops charged to down groups stand: the packets flew).
+    /// Keys in mid-migration ranges are routed individually (new owner
+    /// first, old-owner fallback) — the documented read amplification of
+    /// a live reshard.
     pub fn try_multi_gets_partial(&self, keys: &[&[u8]]) -> PartialMultiGet {
         let s = self.cluster.router.state.read();
         let mut out: Vec<Option<(Value, u64)>> = vec![None; keys.len()];
@@ -882,27 +854,13 @@ impl KvClient {
         for (i, old, new) in migrating {
             match self.get_migrating(old, new, keys[i]) {
                 Ok(v) => out[i] = v,
-                Err(KvError::NodeDown(n)) => fail(n, i),
-                Err(e @ KvError::WrongEpoch { .. }) => Self::fault_panic(e),
+                Err(Down(n)) => fail(n, i),
             }
         }
         PartialMultiGet { results: out, failed }
     }
 
-    /// Batched `get` (no versions): convenience over [`KvClient::multi_gets`].
-    pub fn multi_get(&self, keys: &[&[u8]]) -> Vec<Option<Value>> {
-        self.multi_gets(keys).into_iter().map(|r| r.map(|(v, _)| v)).collect()
-    }
-
     /// Unconditional store; returns the new version.
-    pub fn set(&self, key: &[u8], value: &[u8]) -> u64 {
-        match self.try_set(key, value) {
-            Ok(v) => v,
-            Err(e) => Self::fault_panic(e),
-        }
-    }
-
-    /// Fault-aware [`set`](Self::set).
     pub fn try_set(&self, key: &[u8], value: &[u8]) -> Result<u64, KvError> {
         let s = self.cluster.router.state.read();
         let n = self.write_target(&s, key);
@@ -910,15 +868,7 @@ impl KvClient {
         Ok(self.cluster.shard(n).set(key, value))
     }
 
-    /// Store if absent.
-    pub fn add(&self, key: &[u8], value: &[u8]) -> Option<u64> {
-        match self.try_add(key, value) {
-            Ok(v) => v,
-            Err(e) => Self::fault_panic(e),
-        }
-    }
-
-    /// Fault-aware [`add`](Self::add).
+    /// Store if absent; `None` when the key already exists.
     pub fn try_add(&self, key: &[u8], value: &[u8]) -> Result<Option<u64>, KvError> {
         let s = self.cluster.router.state.read();
         let n = self.write_target(&s, key);
@@ -926,28 +876,7 @@ impl KvClient {
         Ok(self.cluster.shard(n).add(key, value))
     }
 
-    /// Check-and-swap.
-    pub fn cas(&self, key: &[u8], expected_version: u64, value: &[u8]) -> CasOutcome {
-        match self.try_cas(key, expected_version, value) {
-            Ok(v) => v,
-            Err(e) => Self::fault_panic(e),
-        }
-    }
-
-    /// Fault-aware [`cas`](Self::cas).
-    pub fn try_cas(
-        &self,
-        key: &[u8],
-        expected_version: u64,
-        value: &[u8],
-    ) -> Result<CasOutcome, KvError> {
-        let s = self.cluster.router.state.read();
-        let n = self.write_target(&s, key);
-        self.access(n, value.len())?;
-        Ok(self.cluster.shard(n).cas(key, expected_version, value))
-    }
-
-    /// Epoch-fenced CAS: rejects with [`KvError::WrongEpoch`] when ring
+    /// Check-and-swap, epoch-fenced: rejects with [`KvError::WrongEpoch`] when ring
     /// membership changed since the caller read `seen_epoch` (alongside
     /// the version it is CASing against). The fence closes the
     /// stale-owner window: a CAS routed under an old view can never land
@@ -974,14 +903,6 @@ impl KvClient {
     }
 
     /// Delete; true if the key existed.
-    pub fn delete(&self, key: &[u8]) -> bool {
-        match self.try_delete(key) {
-            Ok(v) => v,
-            Err(e) => Self::fault_panic(e),
-        }
-    }
-
-    /// Fault-aware [`delete`](Self::delete).
     pub fn try_delete(&self, key: &[u8]) -> Result<bool, KvError> {
         let s = self.cluster.router.state.read();
         let n = self.write_target(&s, key);
@@ -1014,10 +935,10 @@ mod tests {
         let c = cluster(4);
         let a = c.client(NodeId(0));
         let b = c.client(NodeId(3));
-        a.set(b"/w/f1", b"hello");
-        assert_eq!(&*b.get(b"/w/f1").unwrap().0, b"hello");
-        assert!(b.delete(b"/w/f1"));
-        assert_eq!(a.get(b"/w/f1"), None);
+        a.try_set(b"/w/f1", b"hello").unwrap();
+        assert_eq!(&*b.try_get(b"/w/f1").unwrap().unwrap().0, b"hello");
+        assert!(b.try_delete(b"/w/f1").unwrap());
+        assert_eq!(a.try_get(b"/w/f1").unwrap(), None);
     }
 
     #[test]
@@ -1036,7 +957,7 @@ mod tests {
         let local_key = local_key.expect("some key must land on node 0");
         let client = c.client(NodeId(0));
         let ((), t) = with_recording(|| {
-            client.get(local_key.as_bytes());
+            client.try_get(local_key.as_bytes()).unwrap();
         });
         assert_eq!(t.station_ns(Station::Network), profile.net_local);
         assert_eq!(t.station_ns(Station::KvShard(0)), profile.kv_op);
@@ -1052,7 +973,7 @@ mod tests {
         }
         let remote_key = remote_key.unwrap();
         let ((), t) = with_recording(|| {
-            client.get(remote_key.as_bytes());
+            client.try_get(remote_key.as_bytes()).unwrap();
         });
         assert_eq!(t.station_ns(Station::Network), profile.net_hop_remote);
     }
@@ -1063,10 +984,10 @@ mod tests {
         let p = c.profile().clone();
         let client = c.client(NodeId(0));
         let ((), small) = with_recording(|| {
-            client.set(b"k", &[0u8; 100]);
+            client.try_set(b"k", &[0u8; 100]).unwrap();
         });
         let ((), big) = with_recording(|| {
-            client.set(b"k", &[0u8; 4096]);
+            client.try_set(b"k", &[0u8; 4096]).unwrap();
         });
         let shard = Station::KvShard(0);
         assert_eq!(small.station_ns(shard), p.kv_op + p.kv_payload_per_kib);
@@ -1078,10 +999,14 @@ mod tests {
         let c = cluster(4);
         let client = c.client(NodeId(1));
         for i in 0..40 {
-            client.set(format!("/ws/a/f{i:02}").as_bytes(), b"m");
+            client
+                .try_set(format!("/ws/a/f{i:02}").as_bytes(), b"m")
+                .unwrap();
         }
         for i in 0..10 {
-            client.set(format!("/other/f{i:02}").as_bytes(), b"m");
+            client
+                .try_set(format!("/other/f{i:02}").as_bytes(), b"m")
+                .unwrap();
         }
         let keys = c.keys_with_prefix(b"/ws/a/");
         assert_eq!(keys.len(), 40);
@@ -1105,14 +1030,16 @@ mod tests {
         let keys: Vec<String> = (0..24).map(|i| format!("/batch/f{i:02}")).collect();
         for (i, k) in keys.iter().enumerate() {
             if i % 3 != 0 {
-                client.set(k.as_bytes(), format!("v{i}").as_bytes());
+                client
+                    .try_set(k.as_bytes(), format!("v{i}").as_bytes())
+                    .unwrap();
             }
         }
         let refs: Vec<&[u8]> = keys.iter().map(|k| k.as_bytes()).collect();
-        let (batched, trace) = with_recording(|| client.multi_gets(&refs));
+        let (batched, trace) = with_recording(|| client.try_multi_gets_partial(&refs).results);
         // Byte-for-byte equal to sequential gets, in input order.
         for (k, got) in refs.iter().zip(&batched) {
-            assert_eq!(got, &client.get(k));
+            assert_eq!(got, &client.try_get(k).unwrap());
         }
         // One network hop per distinct owning node, not one per key.
         let nodes: std::collections::BTreeSet<u32> =
@@ -1135,10 +1062,10 @@ mod tests {
     fn multi_get_empty_and_single() {
         let c = cluster(2);
         let client = c.client(NodeId(0));
-        assert!(client.multi_gets(&[]).is_empty());
-        client.set(b"k", b"v");
-        let got = client.multi_get(&[b"k".as_ref()]);
-        assert_eq!(&*got[0].clone().unwrap(), b"v");
+        assert!(client.try_multi_gets_partial(&[]).results.is_empty());
+        client.try_set(b"k", b"v").unwrap();
+        let got = client.try_multi_gets_partial(&[b"k".as_ref()]).results;
+        assert_eq!(&*got[0].clone().unwrap().0, b"v");
     }
 
     #[test]
@@ -1153,7 +1080,7 @@ mod tests {
             .find(|k| c.shard_node(k.as_bytes()) != victim)
             .expect("4-node ring spreads keys");
         for k in &keys {
-            client.set(k.as_bytes(), b"v");
+            client.try_set(k.as_bytes(), b"v").unwrap();
         }
 
         c.crash(victim);
@@ -1162,8 +1089,18 @@ mod tests {
         assert_eq!(c.shard_node(keys[0].as_bytes()), victim);
         assert_eq!(client.try_get(keys[0].as_bytes()), Err(KvError::NodeDown(victim)));
         let refs: Vec<&[u8]> = keys.iter().map(|k| k.as_bytes()).collect();
-        assert_eq!(client.try_multi_gets(&refs), Err(KvError::NodeDown(victim)));
-        assert_eq!(client.try_set(keys[0].as_bytes(), b"x"), Err(KvError::NodeDown(victim)));
+        let down = Err(KvError::NodeDown(victim));
+        assert_eq!(client.try_multi_gets_partial(&refs).failed[0].0, victim);
+        assert_eq!(client.try_set(keys[0].as_bytes(), b"x").map(|_| ()), down);
+        assert_eq!(client.try_add(keys[0].as_bytes(), b"x").map(|_| ()), down);
+        assert_eq!(client.try_delete(keys[0].as_bytes()).map(|_| ()), down);
+        let epoch = c.ring_epoch();
+        assert_eq!(
+            client
+                .try_cas_fenced(keys[0].as_bytes(), 1, b"x", epoch)
+                .map(|_| ()),
+            down
+        );
         // Surviving shards keep serving.
         assert!(client.try_get(surviving_key.as_bytes()).unwrap().is_some());
 
@@ -1193,8 +1130,8 @@ mod tests {
         }
         // Unrelated traffic never moves the epoch.
         let client = c.client(NodeId(0));
-        client.set(b"k", b"v");
-        client.get(b"k");
+        client.try_set(b"k", b"v").unwrap();
+        client.try_get(b"k").unwrap();
         assert_eq!(c.ring_epoch(), last);
     }
 
@@ -1205,32 +1142,23 @@ mod tests {
         let client = c.client(NodeId(0));
         c.set_slowdown(NodeId(0), 7_000);
         let ((), t) = with_recording(|| {
-            client.get(b"k");
+            client.try_get(b"k").unwrap();
         });
         assert_eq!(t.station_ns(Station::KvShard(0)), p.kv_op + 7_000);
         c.set_slowdown(NodeId(0), 0);
         let ((), t) = with_recording(|| {
-            client.get(b"k");
+            client.try_get(b"k").unwrap();
         });
         assert_eq!(t.station_ns(Station::KvShard(0)), p.kv_op);
-    }
-
-    #[test]
-    #[should_panic(expected = "crashed node")]
-    fn infallible_surface_panics_on_crashed_node() {
-        let c = cluster(1);
-        let client = c.client(NodeId(0));
-        c.crash(NodeId(0));
-        client.get(b"k");
     }
 
     #[test]
     fn aggregated_stats() {
         let c = cluster(2);
         let client = c.client(NodeId(0));
-        client.set(b"a", b"1");
-        client.get(b"a");
-        client.get(b"nope");
+        client.try_set(b"a", b"1").unwrap();
+        client.try_get(b"a").unwrap();
+        client.try_get(b"nope").unwrap();
         let st = c.stats();
         assert_eq!(st.sets, 1);
         assert_eq!(st.gets, 2);
@@ -1249,7 +1177,9 @@ mod reshard_tests {
     fn fill(client: &KvClient, n: usize) -> Vec<String> {
         let keys: Vec<String> = (0..n).map(|i| format!("/reshard/f{i:03}")).collect();
         for (i, k) in keys.iter().enumerate() {
-            client.set(k.as_bytes(), format!("v{i}").as_bytes());
+            client
+                .try_set(k.as_bytes(), format!("v{i}").as_bytes())
+                .unwrap();
         }
         keys
     }
@@ -1276,7 +1206,10 @@ mod reshard_tests {
         // Mid-migration: every key still reads its written value.
         c.migration_step(10);
         for (i, k) in keys.iter().enumerate() {
-            let (v, _) = client.get(k.as_bytes()).expect("readable mid-migration");
+            let (v, _) = client
+                .try_get(k.as_bytes())
+                .unwrap()
+                .expect("readable mid-migration");
             assert_eq!(&*v, format!("v{i}").as_bytes());
         }
         drive_to_completion(&c);
@@ -1284,7 +1217,10 @@ mod reshard_tests {
         // The leaver's shard is empty and no key routes to it.
         for k in &keys {
             assert_ne!(c.shard_node(k.as_bytes()), NodeId(2));
-            let (v, _) = client.get(k.as_bytes()).expect("readable after migration");
+            let (v, _) = client
+                .try_get(k.as_bytes())
+                .unwrap()
+                .expect("readable after migration");
             assert!(v.len() >= 2);
         }
         let st = c.reshard_stats();
@@ -1308,7 +1244,10 @@ mod reshard_tests {
             keys.iter().filter(|k| c.shard_node(k.as_bytes()) == NodeId(2)).count();
         assert!(moved > 0, "a join must take over some ranges");
         for (i, k) in keys.iter().enumerate() {
-            let (v, _) = client.get(k.as_bytes()).expect("readable after join");
+            let (v, _) = client
+                .try_get(k.as_bytes())
+                .unwrap()
+                .expect("readable after join");
             assert_eq!(&*v, format!("v{i}").as_bytes());
         }
     }
@@ -1336,16 +1275,18 @@ mod reshard_tests {
         // Move roughly half, then overwrite every key mid-window.
         c.migration_step(25);
         for (i, k) in keys.iter().enumerate() {
-            client.set(k.as_bytes(), format!("w{i}").as_bytes());
+            client
+                .try_set(k.as_bytes(), format!("w{i}").as_bytes())
+                .unwrap();
         }
         // Every key reads the overwrite, wherever it lives right now.
         for (i, k) in keys.iter().enumerate() {
-            let (v, _) = client.get(k.as_bytes()).unwrap();
+            let (v, _) = client.try_get(k.as_bytes()).unwrap().unwrap();
             assert_eq!(&*v, format!("w{i}").as_bytes(), "mid-migration write lost");
         }
         drive_to_completion(&c);
         for (i, k) in keys.iter().enumerate() {
-            let (v, _) = client.get(k.as_bytes()).unwrap();
+            let (v, _) = client.try_get(k.as_bytes()).unwrap().unwrap();
             assert_eq!(&*v, format!("w{i}").as_bytes(), "post-migration write lost");
         }
     }
@@ -1355,17 +1296,19 @@ mod reshard_tests {
         let c = cluster(3);
         let client = c.client(NodeId(0));
         let keys = fill(&client, 80);
-        let versions: Vec<u64> =
-            keys.iter().map(|k| client.get(k.as_bytes()).unwrap().1).collect();
+        let versions: Vec<u64> = keys
+            .iter()
+            .map(|k| client.try_get(k.as_bytes()).unwrap().unwrap().1)
+            .collect();
         assert!(c.begin_leave(NodeId(2)));
         drive_to_completion(&c);
         for (k, ver) in keys.iter().zip(&versions) {
-            let (_, now) = client.get(k.as_bytes()).unwrap();
+            let (_, now) = client.try_get(k.as_bytes()).unwrap().unwrap();
             assert_eq!(now, *ver, "migration must preserve CAS versions");
             // And the pre-migration token still swaps.
             assert!(matches!(
-                client.cas(k.as_bytes(), *ver, b"swapped"),
-                CasOutcome::Stored { .. }
+                client.try_cas_fenced(k.as_bytes(), *ver, b"swapped", c.ring_epoch()),
+                Ok(CasOutcome::Stored { .. })
             ));
         }
     }
@@ -1377,7 +1320,7 @@ mod reshard_tests {
         let keys = fill(&client, 60);
         let k = keys[0].as_bytes();
         let seen = c.ring_epoch();
-        let (_, ver) = client.get(k).unwrap();
+        let (_, ver) = client.try_get(k).unwrap().unwrap();
         // Membership changes between the read and the CAS.
         assert!(c.begin_leave(NodeId(2)));
         drive_to_completion(&c);
@@ -1392,7 +1335,7 @@ mod reshard_tests {
         // Refresh: re-read version + epoch, retry — versions survived the
         // move, so the CAS lands.
         let fresh_epoch = c.ring_epoch();
-        let (_, fresh_ver) = client.get(k).unwrap();
+        let (_, fresh_ver) = client.try_get(k).unwrap().unwrap();
         assert_eq!(fresh_ver, ver, "version preserved across the reshard");
         assert!(matches!(
             client.try_cas_fenced(k, fresh_ver, b"landed", fresh_epoch),
@@ -1511,7 +1454,9 @@ mod reshard_tests {
         let c = cluster(2);
         let client = c.client(NodeId(0));
         for i in 0..60 {
-            client.set(format!("/xfer/f{i}").as_bytes(), b"0123456789");
+            client
+                .try_set(format!("/xfer/f{i}").as_bytes(), b"0123456789")
+                .unwrap();
         }
         c.begin_leave(NodeId(1));
         let ((), t) = simnet::with_recording(|| {
@@ -1532,7 +1477,9 @@ mod reshard_tests {
         let client = c.client(NodeId(0));
         let keys: Vec<String> = (0..200).map(|i| format!("/pmg/f{i}")).collect();
         for (i, k) in keys.iter().enumerate() {
-            client.set(k.as_bytes(), format!("v{i}").as_bytes());
+            client
+                .try_set(k.as_bytes(), format!("v{i}").as_bytes())
+                .unwrap();
         }
         let victim = c.shard_node(keys[0].as_bytes());
         c.crash(victim);
@@ -1555,7 +1502,5 @@ mod reshard_tests {
             }
         }
         assert_eq!(p.failed_keys(), failed.len());
-        // The whole-batch surface still fails closed.
-        assert_eq!(client.try_multi_gets(&refs), Err(KvError::NodeDown(victim)));
     }
 }

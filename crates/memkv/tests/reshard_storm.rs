@@ -152,7 +152,7 @@ fn run_storm(seed: u64) {
     // never legal.
     for i in 0..KEYS {
         let v = format!("seed-{i}").into_bytes();
-        let ver = s.clients[0].set(&key(i), &v);
+        let ver = s.clients[0].try_set(&key(i), &v).unwrap();
         s.oracle.insert(i, (v, ver));
     }
 

@@ -5,18 +5,21 @@
 //! loop of Section III.D-3 ("when multiple write operations conflict ...
 //! Pacon will re-execute it until the update is successful").
 //!
-//! Two surfaces coexist:
+//! One fallible method per op: a request that lands on a crashed node
+//! returns [`CacheError`]. How hard a call tries depends on the handle:
 //!
-//! * the original **infallible** methods (`get`, `put`, …) assume a
-//!   healthy cluster and panic if a request lands on a crashed node —
-//!   appropriate for tests and for callers that run only while healthy;
-//! * the **fault-aware** `try_*` methods return [`CacheError`] instead.
-//!   On a [`MetaCache`] built with [`MetaCache::with_faults`], every
-//!   `try_*` RPC is wrapped in a guarded retry loop: bounded attempts
+//! * a **fault-aware** handle ([`MetaCache::with_faults`], one per
+//!   client) wraps every RPC in a guarded retry loop: bounded attempts
 //!   with deterministic jittered exponential backoff (virtual-clock
 //!   sleeps, see [`RetryPolicy`]), and on exhaustion the *region* enters
 //!   degraded mode — subsequent calls fail fast, gated by a rate-limited
-//!   recovery probe ([`crate::degraded`]).
+//!   recovery probe ([`crate::degraded`]);
+//! * a **bare** handle ([`MetaCache::new`], or `MetaCache::bare` over
+//!   a fault-aware one) makes exactly one attempt per RPC and never
+//!   retries or trips degraded mode. Best-effort callers use it and skip
+//!   on error: commit workers, merged-region reads, eviction, the
+//!   publish-buffer cancel cleanup, the synchronous-commit ablation and
+//!   the degraded-write coherence update.
 
 use std::sync::Arc;
 
@@ -32,9 +35,9 @@ use crate::retry::{splitmix64, RetryPolicy};
 /// livelock-grade pathology rather than normal contention.
 const MAX_CAS_ATTEMPTS: u32 = 1_000;
 
-/// A fault-aware cache RPC gave up: the owning node stayed down through
-/// the whole retry budget (or the region is degraded and the probe is
-/// not due). The caller falls back to the DFS backup copy.
+/// A cache RPC gave up: the owning node was down (on a fault-aware handle,
+/// through the whole retry budget, or the region is degraded and the
+/// probe is not due). The caller falls back to the DFS backup copy.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CacheError {
     Unavailable,
@@ -60,6 +63,11 @@ impl MetaCache {
     /// `core`'s policy and drive its degraded-mode state machine.
     pub fn with_faults(kv: KvClient, core: Arc<RegionCore>) -> Self {
         Self { kv, fault: Some(core) }
+    }
+
+    /// Bare view of the same KV client: one unguarded attempt per RPC.
+    pub(crate) fn bare(&self) -> Self {
+        Self::new(self.kv.clone())
     }
 
     /// Run one cache RPC under the fault guard. Healthy path: attempt,
@@ -135,7 +143,7 @@ impl MetaCache {
         }
     }
 
-    /// Fault-aware [`Self::get`].
+    /// Fetch a record and its CAS version.
     pub fn try_get(&self, path: &str) -> Result<Option<(CachedMeta, u64)>, CacheError> {
         let hit = self
             .guarded(|kv| kv.try_get(path.as_bytes()))?
@@ -164,13 +172,13 @@ impl MetaCache {
         true
     }
 
-    /// Fault-aware [`Self::multi_get`], fault-isolated per node group: a
-    /// node crashing mid-batch no longer discards the results already
-    /// fetched from healthy groups
-    /// (`memkv::KvClient::try_multi_gets_partial`). Keys owned by a down
-    /// node are salvaged per-key through the guarded retry envelope;
-    /// keys that stay unreachable are reported as misses — the caller's
-    /// per-path DFS fallback *is* the degraded read, counted here.
+    /// Batched fetch: one round trip per shard node instead of one per
+    /// path; results in input order, a missing (or undecodable) record
+    /// yields `None`. Fault-isolated per node group
+    /// (`memkv::KvClient::try_multi_gets_partial`): keys owned by a down
+    /// node are salvaged per-key through [`Self::try_get`]; keys that
+    /// stay unreachable are reported as misses — the caller's per-path
+    /// DFS fallback *is* the degraded read, counted here.
     pub fn try_multi_get(
         &self,
         paths: &[&str],
@@ -203,7 +211,8 @@ impl MetaCache {
         Ok(out)
     }
 
-    /// Fault-aware [`Self::put`].
+    /// Unconditional store; last writer wins (DFS loads all write the
+    /// same DFS-derived truth).
     pub fn try_put(&self, path: &str, meta: &CachedMeta) -> Result<u64, CacheError> {
         let bytes = meta.encode();
         let ver = self.guarded(|kv| kv.try_set(path.as_bytes(), &bytes))?;
@@ -214,8 +223,8 @@ impl MetaCache {
         Ok(ver)
     }
 
-    /// Fault-aware [`Self::add_new`]. Outer error = cache unreachable;
-    /// inner error = the path is already cached.
+    /// Insert a brand-new record. Outer error = cache unreachable; inner
+    /// error = the path is already cached.
     pub fn try_add_new(
         &self,
         path: &str,
@@ -231,9 +240,10 @@ impl MetaCache {
         Ok(added.ok_or(FsError::AlreadyExists))
     }
 
-    /// Fault-aware [`Self::update`]: the CAS-retry loop with every get
-    /// and CAS individually guarded. Outer error = cache unreachable
-    /// mid-loop; inner is the caller's abort.
+    /// CAS-retry update loop. `f` is re-run on every conflict against the
+    /// freshest record; returning `Err` aborts. Returns the final record.
+    /// Every get and CAS is individually guarded. Outer error = cache
+    /// unreachable mid-loop; inner is the caller's abort.
     pub fn try_update<E>(
         &self,
         path: &str,
@@ -275,68 +285,9 @@ impl MetaCache {
         panic!("cache CAS loop exceeded {MAX_CAS_ATTEMPTS} attempts on {path}");
     }
 
-    /// Fault-aware [`Self::delete`].
+    /// Delete a record; true if it existed.
     pub fn try_delete(&self, path: &str) -> Result<bool, CacheError> {
         self.guarded(|kv| kv.try_delete(path.as_bytes()))
-    }
-
-    /// Fetch a record and its CAS version.
-    pub fn get(&self, path: &str) -> Option<(CachedMeta, u64)> {
-        self.kv
-            .get(path.as_bytes())
-            .and_then(|(bytes, ver)| CachedMeta::decode(&bytes).map(|m| (m, ver)))
-    }
-
-    /// Batched fetch: one multi-get against the KV cluster — one round
-    /// trip per shard node instead of one per path. Results are in input
-    /// order; a missing (or undecodable) record yields `None`.
-    pub fn multi_get(&self, paths: &[&str]) -> Vec<Option<(CachedMeta, u64)>> {
-        let keys: Vec<&[u8]> = paths.iter().map(|p| p.as_bytes()).collect();
-        self.kv
-            .multi_gets(&keys)
-            .into_iter()
-            .map(|r| r.and_then(|(bytes, ver)| CachedMeta::decode(&bytes).map(|m| (m, ver))))
-            .collect()
-    }
-
-    /// Insert a brand-new record; fails if the path is already cached.
-    pub fn add_new(&self, path: &str, meta: &CachedMeta) -> FsResult<u64> {
-        self.kv
-            .add(path.as_bytes(), &meta.encode())
-            .ok_or(FsError::AlreadyExists)
-    }
-
-    /// Unconditional store (used when loading DFS entries into the cache;
-    /// last writer wins is fine because both writers hold the same
-    /// DFS-derived truth).
-    pub fn put(&self, path: &str, meta: &CachedMeta) -> u64 {
-        self.kv.set(path.as_bytes(), &meta.encode())
-    }
-
-    /// CAS-retry update loop. `f` is re-run on every conflict against the
-    /// freshest record; returning `Err` aborts. Returns the final record.
-    pub fn update<E>(
-        &self,
-        path: &str,
-        mut f: impl FnMut(&mut CachedMeta) -> Result<(), E>,
-    ) -> Result<Option<CachedMeta>, E> {
-        for _ in 0..MAX_CAS_ATTEMPTS {
-            let Some((mut meta, version)) = self.get(path) else {
-                return Ok(None);
-            };
-            f(&mut meta)?;
-            match self.kv.cas(path.as_bytes(), version, &meta.encode()) {
-                CasOutcome::Stored { .. } => return Ok(Some(meta)),
-                CasOutcome::Conflict { .. } => continue,
-                CasOutcome::NotFound => return Ok(None),
-            }
-        }
-        panic!("cache CAS loop exceeded {MAX_CAS_ATTEMPTS} attempts on {path}");
-    }
-
-    /// Delete a record; true if it existed.
-    pub fn delete(&self, path: &str) -> bool {
-        self.kv.delete(path.as_bytes())
     }
 
     /// The underlying KV client (for cost-sensitive callers that need the
@@ -366,21 +317,24 @@ mod tests {
     #[test]
     fn add_then_get_then_duplicate_fails() {
         let c = cache();
-        c.add_new("/w/f", &meta()).unwrap();
-        let (m, _) = c.get("/w/f").unwrap();
+        c.try_add_new("/w/f", &meta()).unwrap().unwrap();
+        let (m, _) = c.try_get("/w/f").unwrap().unwrap();
         assert_eq!(m, meta());
-        assert_eq!(c.add_new("/w/f", &meta()), Err(FsError::AlreadyExists));
+        assert_eq!(
+            c.try_add_new("/w/f", &meta()).unwrap(),
+            Err(FsError::AlreadyExists)
+        );
     }
 
     #[test]
     fn multi_get_matches_sequential_gets() {
         let c = cache();
-        c.add_new("/w/a", &meta()).unwrap();
-        c.add_new("/w/b", &meta()).unwrap();
+        c.try_add_new("/w/a", &meta()).unwrap().unwrap();
+        c.try_add_new("/w/b", &meta()).unwrap().unwrap();
         let paths = ["/w/a", "/w/missing", "/w/b"];
-        let batched = c.multi_get(&paths);
+        let batched = c.try_multi_get(&paths).unwrap();
         for (p, got) in paths.iter().zip(&batched) {
-            assert_eq!(got, &c.get(p));
+            assert_eq!(got, &c.try_get(p).unwrap());
         }
         assert!(batched[1].is_none());
     }
@@ -388,33 +342,34 @@ mod tests {
     #[test]
     fn update_applies_and_returns_final() {
         let c = cache();
-        c.add_new("/w/f", &meta()).unwrap();
+        c.try_add_new("/w/f", &meta()).unwrap().unwrap();
         let out = c
-            .update::<()>("/w/f", |m| {
+            .try_update::<()>("/w/f", |m| {
                 m.size = 77;
                 m.committed = true;
                 Ok(())
             })
             .unwrap()
+            .unwrap()
             .unwrap();
         assert_eq!(out.size, 77);
-        let (m, _) = c.get("/w/f").unwrap();
+        let (m, _) = c.try_get("/w/f").unwrap().unwrap();
         assert!(m.committed);
     }
 
     #[test]
     fn update_missing_returns_none() {
         let c = cache();
-        assert_eq!(c.update::<()>("/nope", |_| Ok(())).unwrap(), None);
+        assert_eq!(c.try_update::<()>("/nope", |_| Ok(())).unwrap(), Ok(None));
     }
 
     #[test]
     fn update_error_aborts() {
         let c = cache();
-        c.add_new("/w/f", &meta()).unwrap();
-        let res: Result<_, &str> = c.update("/w/f", |_| Err("nope"));
+        c.try_add_new("/w/f", &meta()).unwrap().unwrap();
+        let res: Result<_, &str> = c.try_update("/w/f", |_| Err("nope")).unwrap();
         assert_eq!(res, Err("nope"));
-        let (m, _) = c.get("/w/f").unwrap();
+        let (m, _) = c.try_get("/w/f").unwrap().unwrap();
         assert_eq!(m.size, 0, "aborted update must not mutate");
     }
 
@@ -422,16 +377,17 @@ mod tests {
     fn concurrent_updates_all_land() {
         let cluster = KvCluster::new(Topology::new(1, 4), Arc::new(LatencyProfile::zero()));
         let c0 = MetaCache::new(cluster.client(NodeId(0)));
-        c0.add_new("/ctr", &meta()).unwrap();
+        c0.try_add_new("/ctr", &meta()).unwrap().unwrap();
         let mut handles = Vec::new();
         for _ in 0..4 {
             let c = MetaCache::new(cluster.client(NodeId(0)));
             handles.push(std::thread::spawn(move || {
                 for _ in 0..200 {
-                    c.update::<()>("/ctr", |m| {
+                    c.try_update::<()>("/ctr", |m| {
                         m.size += 1;
                         Ok(())
                     })
+                    .unwrap()
                     .unwrap();
                 }
             }));
@@ -439,7 +395,7 @@ mod tests {
         for h in handles {
             h.join().unwrap();
         }
-        assert_eq!(c0.get("/ctr").unwrap().0.size, 800);
+        assert_eq!(c0.try_get("/ctr").unwrap().unwrap().0.size, 800);
     }
 
     /// A fault-aware cache over a real region core (paused — no worker
@@ -460,7 +416,7 @@ mod tests {
     #[test]
     fn guarded_rpc_retries_then_degrades_probes_and_rewarms() {
         let (core, c) = faulted();
-        c.add_new("/w/f", &meta()).unwrap();
+        c.try_add_new("/w/f", &meta()).unwrap().unwrap();
         let victim = core.cache_cluster.shard_node(b"/w/f");
         core.cache_cluster.crash(victim);
 
@@ -497,7 +453,7 @@ mod tests {
     fn bare_cache_try_surface_fails_fast_without_degraded_state() {
         let cluster = KvCluster::new(Topology::new(2, 1), Arc::new(LatencyProfile::zero()));
         let c = MetaCache::new(cluster.client(NodeId(0)));
-        c.add_new("/w/f", &meta()).unwrap();
+        c.try_add_new("/w/f", &meta()).unwrap().unwrap();
         cluster.crash(cluster.shard_node(b"/w/f"));
         // No region core: exactly one attempt, mapped to Unavailable.
         assert_eq!(c.try_get("/w/f"), Err(CacheError::Unavailable));

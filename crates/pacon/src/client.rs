@@ -272,9 +272,12 @@ impl PaconClient {
                 // The unlink settled client-side: its pending-removal
                 // mark retires here, not in a commit worker.
                 self.core.note_unlink_retired(&path, timestamp);
-                if let Some((meta, _)) = self.cache.get(&path) {
+                // Best effort, one unguarded attempt: a record left on a
+                // down node died with it.
+                let cache = self.cache.bare();
+                if let Ok(Some((meta, _))) = cache.try_get(&path) {
                     if meta.removed {
-                        self.cache.delete(&path);
+                        let _ = cache.try_delete(&path);
                     }
                 }
                 self.core.staging.lock().remove(path.as_str());
@@ -295,6 +298,8 @@ impl PaconClient {
     /// (strong primary/backup consistency; no queue, no commit process).
     fn commit_synchronously(&self, op: CommitOp) -> FsResult<()> {
         let cred = self.core.config.cred;
+        // Primary-copy upkeep is best effort: one unguarded attempt each.
+        let cache = self.cache.bare();
         let res = match &op {
             // lint: allow(commit-path, sync-consistency ablation: applying directly IS this mode)
             CommitOp::Mkdir { path, mode } => self.dfs.mkdir(path, &cred, *mode),
@@ -304,7 +309,7 @@ impl PaconClient {
                 // lint: allow(commit-path, sync-consistency ablation: applying directly IS this mode)
                 let r = self.dfs.unlink(path, &cred);
                 if r.is_ok() {
-                    self.cache.delete(path);
+                    let _ = cache.try_delete(path);
                 }
                 r
             }
@@ -312,8 +317,8 @@ impl PaconClient {
                 // Mirror the async worker: free the coalescing slot before
                 // reading the primary copy so later writes re-queue.
                 self.core.pending_writebacks.lock().remove(path.as_str());
-                match self.cache.get(path) {
-                    Some((meta, _)) if !meta.removed && !meta.large => {
+                match cache.try_get(path) {
+                    Ok(Some((meta, _))) if !meta.removed && !meta.large => {
                         // lint: allow(commit-path, sync-consistency ablation: applying directly IS this mode)
                         self.dfs.write(path, &cred, 0, &meta.inline).map(|_| ())
                     }
@@ -327,7 +332,7 @@ impl PaconClient {
         };
         if res.is_ok() {
             if let Some(path) = op.path() {
-                let _ = self.cache.update::<()>(path, |m| {
+                let _ = cache.try_update::<()>(path, |m| {
                     m.committed = true;
                     Ok(())
                 });
@@ -717,21 +722,19 @@ impl PaconClient {
                 // opened by a different node's crash), keep the primary
                 // copy coherent too: a writeback already queued for this
                 // path reads the cache at commit time, and a stale inline
-                // record would clobber the bytes just written.
-                // lint: allow(stale-owner, best-effort liveness probe — a stale owner only skips or attempts the coherence update; the update itself re-routes under the cluster's route lock)
-                let shard = self.core.cache_cluster.shard_node(path.as_bytes());
-                if self.core.cache_cluster.node_status(shard) == memkv::NodeStatus::Up {
-                    let _ = self.cache.update::<()>(path, |m| {
-                        if !m.large && !m.removed {
-                            if m.inline.len() < end {
-                                m.inline.resize(end, 0);
-                            }
-                            m.inline[offset as usize..end].copy_from_slice(data);
+                // record would clobber the bytes just written. One
+                // unguarded attempt: the guarded handle fails fast while
+                // the region is degraded, and a down shard just skips it.
+                let _ = self.cache.bare().try_update::<()>(path, |m| {
+                    if !m.large && !m.removed {
+                        if m.inline.len() < end {
+                            m.inline.resize(end, 0);
                         }
-                        m.size = m.size.max(end as u64);
-                        Ok(())
-                    });
-                }
+                        m.inline[offset as usize..end].copy_from_slice(data);
+                    }
+                    m.size = m.size.max(end as u64);
+                    Ok(())
+                });
                 Ok(data.len())
             }
             Err(FsError::NotFound) => {
@@ -808,12 +811,12 @@ impl FileSystem for PaconClient {
                         return Err(FsError::PermissionDenied);
                     }
                 }
-                match m.cache.get(path) {
-                    Some((meta, _)) if meta.removed => Err(FsError::NotFound),
-                    Some((meta, _)) => Ok(meta.to_stat()),
+                match m.cache.try_get(path) {
+                    Ok(Some((meta, _))) if meta.removed => Err(FsError::NotFound),
+                    Ok(Some((meta, _))) => Ok(meta.to_stat()),
                     // Read-only: fall back to the DFS without populating
                     // the foreign cache.
-                    None => self.dfs.stat(path, cred),
+                    Ok(None) | Err(CacheError::Unavailable) => self.dfs.stat(path, cred),
                 }
             }
             Route::Redirect => self.dfs.stat(path, cred),
@@ -1247,7 +1250,7 @@ impl FileSystem for PaconClient {
                         if committed {
                             // lint: allow(commit-path, data plane: committed file contents write back directly, only metadata is queued)
                             self.dfs.write(path, cred, offset, data)?;
-                            self.cache.update::<()>(path, |m| {
+                            self.cache.try_update::<()>(path, |m| {
                                 m.size = m.size.max(end as u64);
                                 m.mtime = self.core.now();
                                 Ok(())
@@ -1262,7 +1265,7 @@ impl FileSystem for PaconClient {
                             let snapshot = buf.clone();
                             drop(staging);
                             self.stage_data(path, snapshot, data.len());
-                            self.cache.update::<()>(path, |m| {
+                            self.cache.try_update::<()>(path, |m| {
                                 m.size = m.size.max(end as u64);
                                 Ok(())
                             }).ok();
@@ -1313,8 +1316,8 @@ impl FileSystem for PaconClient {
                 if !m.handle.perms.check(path, cred, ACCESS_R) {
                     return Err(FsError::PermissionDenied);
                 }
-                match m.cache.get(path) {
-                    Some((meta, _)) if !meta.large && !meta.removed => {
+                match m.cache.try_get(path) {
+                    Ok(Some((meta, _))) if !meta.large && !meta.removed => {
                         let start = (offset as usize).min(meta.inline.len());
                         let end = (start + len).min(meta.inline.len());
                         Ok(meta.inline[start..end].to_vec())

@@ -43,11 +43,14 @@ pub fn evict_one_entry(core: &RegionCore, cache: &MetaCache) -> usize {
         .collect();
     // One batched lookup for the whole subtree instead of a round trip
     // per key; only the backup-copy-backed, not-pending entries may go.
-    let metas = cache.multi_get(&paths);
+    // Best effort, one unguarded attempt per RPC: a record on a down node
+    // reads as a miss and stays.
+    let cache = cache.bare();
+    let metas = cache.try_multi_get(&paths).unwrap_or_default();
     let mut evicted = 0;
     for (path, meta) in paths.iter().zip(metas) {
         let evictable = meta.map(|(m, _)| m.committed && !m.removed).unwrap_or(false);
-        if evictable && cache.delete(path) {
+        if evictable && cache.try_delete(path) == Ok(true) {
             evicted += 1;
         }
     }
@@ -88,7 +91,7 @@ mod tests {
     use crate::config::PaconConfig;
     use crate::region::PaconRegion;
     use fsapi::{Credentials, FileSystem};
-    use simnet::{ClientId, LatencyProfile, Topology};
+    use simnet::{ClientId, LatencyProfile, NodeId, Topology};
     use std::sync::Arc;
 
     fn region_with_threshold(t: Option<usize>) -> (Arc<dfs::DfsCluster>, Arc<PaconRegion>) {
@@ -145,7 +148,7 @@ mod tests {
                     1,
                 );
                 m.committed = true;
-                cache.put(&format!("/w/d{d}/f{i}"), &m);
+                cache.try_put(&format!("/w/d{d}/f{i}"), &m).unwrap();
             }
         }
         assert_eq!(region.core().cache_cluster.len(), 12);
@@ -168,14 +171,40 @@ mod tests {
         let cache = cache_of(&region);
         let mut m = crate::metadata::CachedMeta::new_file(fsapi::Perm::new(0o644, 1, 1), 1);
         m.committed = true;
-        cache.put("/w/a", &m);
-        cache.put("/w/ab", &m); // shares the byte prefix of "/w/a"
+        cache.try_put("/w/a", &m).unwrap();
+        cache.try_put("/w/ab", &m).unwrap(); // shares the byte prefix of "/w/a"
         let tops = super::top_level_entries(region.core());
         assert_eq!(tops, vec!["/w/a".to_string(), "/w/ab".to_string()]);
         // Evicting "/w/a" must not take "/w/ab" with it.
         region.core().evict_cursor.store(0, std::sync::atomic::Ordering::Relaxed);
         let n = evict_one_entry(region.core(), &cache);
         assert_eq!(n, 1);
-        assert!(cache.get("/w/ab").is_some());
+        assert!(cache.try_get("/w/ab").unwrap().is_some());
+    }
+
+    #[test]
+    fn eviction_skips_records_on_a_down_node_mid_leave() {
+        let dfs = dfs::DfsCluster::with_default_config(Arc::new(LatencyProfile::zero()));
+        let mut cfg = PaconConfig::new("/w", Topology::new(3, 1), Credentials::new(1, 1));
+        cfg.eviction_threshold = Some(1);
+        let region = PaconRegion::launch_paused(cfg, &dfs).unwrap();
+        let cache = cache_of(&region);
+        let mut m = crate::metadata::CachedMeta::new_file(fsapi::Perm::new(0o644, 1, 1), 1);
+        m.committed = true;
+        for i in 0..200 {
+            cache.try_put(&format!("/w/d/f{i:03}"), &m).unwrap();
+        }
+        let cluster = &region.core().cache_cluster;
+        cluster.crash(NodeId(1));
+        assert!(cluster.begin_leave(NodeId(2)));
+
+        let evicted = evict_one_entry(region.core(), &cache);
+        assert!(evicted > 0, "records on live owners are still evicted");
+        // What survives is exactly what a down post-leave owner serves.
+        let kept = cluster.keys_with_prefix(b"/w/d/");
+        assert!(!kept.is_empty(), "records owned by the down node must stay");
+        for key in &kept {
+            assert_eq!(cluster.shard_node(key), NodeId(1));
+        }
     }
 }

@@ -57,10 +57,10 @@ impl Process for KvOpClient {
                 let ((), trace) = with_recording(|| match &op {
                     KvOp::Set(key, len) => {
                         let len = (*len).min(self.payload.len());
-                        self.kv.set(key.as_bytes(), &self.payload[..len]);
+                        let _ = self.kv.try_set(key.as_bytes(), &self.payload[..len]);
                     }
                     KvOp::Get(key) => {
-                        self.kv.get(key.as_bytes());
+                        let _ = self.kv.try_get(key.as_bytes());
                     }
                 });
                 let class = match &op {

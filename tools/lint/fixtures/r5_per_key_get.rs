@@ -5,3 +5,9 @@ pub fn warm(cache: &MetaCache, keys: &[&str]) {
         let _ = cache.get(key);
     }
 }
+
+pub fn warm_fallible(kv: &KvClient, keys: &[&[u8]]) {
+    for key in keys {
+        let _ = kv.try_get(key);
+    }
+}

@@ -17,8 +17,9 @@
 //!   `qsim`/`simnet` library code (virtual time only).
 //! - **R4 unwrap** — `.unwrap()` budget per file in the core crates,
 //!   checked against `unwrap_allowlist.txt` (shrink-only).
-//! - **R5 per-key-get** — no per-key `cache.get`/`kv.get` in loop
-//!   bodies in `pacon` (use the batched `multi_get` path).
+//! - **R5 per-key-get** — no per-key `cache.try_get`/`kv.try_get` (or
+//!   `get`) in loop bodies in `pacon` (use the batched `try_multi_get`
+//!   path).
 //! - **R6 hold-across-blocking** — no send/recv/fsync-class call while
 //!   a syncguard guard is live, found via the call graph, unless
 //!   wrapped in `syncguard::permit_blocking`.

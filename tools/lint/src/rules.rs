@@ -179,8 +179,8 @@ fn empty_call(toks: &[FlatTok], i: usize) -> Option<(&str, usize)> {
     }
 }
 
-/// R5: per-key `cache.get(..)` / `kv.get(..)` / `kv().get(..)` inside a
-/// loop body, pacon library code only.
+/// R5: per-key `cache.get(..)` / `kv.try_get(..)` / `kv().get(..)` (either
+/// name) inside a loop body, pacon library code only.
 pub fn r5(f: &FileFacts) -> Vec<Finding> {
     let mut findings = Vec::new();
     if f.crate_name.as_deref() != Some("pacon") {
@@ -188,7 +188,7 @@ pub fn r5(f: &FileFacts) -> Vec<Finding> {
     }
     for ff in &f.fns {
         for call in &ff.calls {
-            if call.name != "get" || call.loop_depth == 0 {
+            if !matches!(call.name.as_str(), "get" | "try_get") || call.loop_depth == 0 {
                 continue;
             }
             let recv = match call.links.last() {
@@ -209,8 +209,9 @@ pub fn r5(f: &FileFacts) -> Vec<Finding> {
                 file: f.rel.clone(),
                 line: call.line,
                 message: format!(
-                    "per-key `{recv}.get(..)` inside a loop — batch the keys with \
-                     multi_get, or mark the line `lint: allow(per-key-get)`"
+                    "per-key `{recv}.{}(..)` inside a loop — batch the keys with \
+                     try_multi_get, or mark the line `lint: allow(per-key-get)`",
+                    call.name
                 ),
                 related: Vec::new(),
             });

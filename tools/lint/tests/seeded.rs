@@ -55,7 +55,7 @@ fn r4_unwrap_fixture_is_counted() {
 #[test]
 fn r5_per_key_get_fixture_fires() {
     let a = run(&[("crates/pacon/src/fix_r5.rs", "r5_per_key_get.rs")]);
-    assert_eq!(lines_of(&a, Rule::R5PerKeyGetLoop), vec![5], "{:?}", a.findings);
+    assert_eq!(lines_of(&a, Rule::R5PerKeyGetLoop), vec![5, 11], "{:?}", a.findings);
 }
 
 #[test]
@@ -95,7 +95,9 @@ fn r8_retry_loop_fixture_fires() {
     // Only the bare spin fires: the policy-gated loop (next_backoff in
     // the same function) and the allow-marked drain stay silent.
     assert_eq!(lines_of(&a, Rule::R8UnboundedRetryLoop), vec![6], "{:?}", a.findings);
-    assert!(a.findings[0].message.contains("next_backoff"), "{}", a.findings[0].message);
+    // (The retried `try_get`s also sit in loops, so R5 reports them too.)
+    let r8 = a.findings.iter().find(|f| f.rule == Rule::R8UnboundedRetryLoop).unwrap();
+    assert!(r8.message.contains("next_backoff"), "{}", r8.message);
     // The same source outside the core crates is not the lint's
     // business (a bench may poll freely).
     let b = run(&[("crates/bench/src/fix_r8.rs", "r8_retry_loop.rs")]);
