@@ -24,7 +24,7 @@ use std::collections::VecDeque;
 
 use syncguard::{level, Mutex};
 
-use crate::queue::{Publisher, SendFault};
+use crate::queue::{LinkView, Publisher, SendFault};
 
 /// Every consumer of the queue is gone for good — the publish cannot ever
 /// be delivered (normal at shutdown).
@@ -90,14 +90,18 @@ impl<T: Clone> ReliablePublisher<T> {
         self.window.lock().len()
     }
 
-    fn settle(
-        inner: &Publisher<T>,
-        window: &mut VecDeque<Record<T>>,
-    ) -> Result<FlushOutcome, Disconnected> {
-        let view = inner.link_view();
-        // Classification pass: drop the consumed prefix, demote lost
-        // records back to undelivered. Sequences ascend along the window,
-        // so consumed records can only form a prefix.
+    /// Drop the provably consumed prefix of the window, without sending.
+    /// Touches only the records it drops; the consumer side calls it
+    /// after each receive so consumed messages are not kept alive until
+    /// the next publish.
+    pub fn trim(&self) {
+        let view = self.inner.link_view();
+        Self::drop_consumed(&view, &mut self.window.lock());
+    }
+
+    /// Sequences ascend along the window, so consumed records can only
+    /// form a prefix.
+    fn drop_consumed(view: &LinkView, window: &mut VecDeque<Record<T>>) {
         while let Some(rec) = window.front() {
             match rec.seq {
                 Some(seq) if seq < view.received && !view.lost(seq) => {
@@ -106,6 +110,16 @@ impl<T: Clone> ReliablePublisher<T> {
                 _ => break,
             }
         }
+    }
+
+    fn settle(
+        inner: &Publisher<T>,
+        window: &mut VecDeque<Record<T>>,
+    ) -> Result<FlushOutcome, Disconnected> {
+        let view = inner.link_view();
+        // Classification pass: drop the consumed prefix, demote lost
+        // records back to undelivered.
+        Self::drop_consumed(&view, window);
         for rec in window.iter_mut() {
             if matches!(rec.seq, Some(seq) if seq < view.received && view.lost(seq)) {
                 rec.seq = None;
@@ -239,6 +253,27 @@ mod tests {
         }
         assert_eq!(got, expect, "every publish arrives exactly once, in order");
         rp.flush().unwrap();
+        assert_eq!(rp.unacked(), 0);
+    }
+
+    #[test]
+    fn trim_drops_only_the_consumed_prefix() {
+        let (tx, rx) = push_pull::<u32>(16);
+        let rp = ReliablePublisher::new(tx);
+        for i in 0..3 {
+            rp.publish(i).unwrap();
+        }
+        assert_eq!(rx.recv().unwrap(), 0);
+        rp.trim();
+        assert_eq!(rp.unacked(), 2, "1 and 2 are still at the broker");
+        rp.inner().sever();
+        rp.trim();
+        assert_eq!(rp.unacked(), 2, "lost records stay for redelivery");
+        rp.inner().heal();
+        rp.flush().unwrap();
+        assert_eq!(rx.recv().unwrap(), 1);
+        assert_eq!(rx.recv().unwrap(), 2);
+        rp.trim();
         assert_eq!(rp.unacked(), 0);
     }
 

@@ -20,7 +20,6 @@ use dfs::DfsClient;
 use fsapi::types::{ACCESS_R, ACCESS_W, ACCESS_X};
 use fsapi::{path as fspath, Credentials, FileKind, FileStat, FsError, FsResult, Perm};
 use fsapi::FileSystem;
-use mq::{Publisher, ReliablePublisher};
 use simnet::{charge, ClientId, NodeId, Station};
 use syncguard::{level, Mutex, RwLock};
 
@@ -41,14 +40,6 @@ struct Merged {
 pub struct PaconClient {
     core: Arc<RegionCore>,
     cache: MetaCache,
-    /// Per-node queue publishers; index = node id. A client publishes its
-    /// own ops to its node's queue and barrier markers to all queues.
-    publishers: Vec<Publisher<QueueMsg>>,
-    /// Redelivery wrapper around this client's own-node publisher: commit
-    /// ops survive broker loss in the unacked window and are resent after
-    /// [`Self::flush_publishes`]. Barrier markers bypass it on purpose —
-    /// a barrier during an outage should fail, not silently queue.
-    redelivery: ReliablePublisher<QueueMsg>,
     dfs: DfsClient,
     merged: RwLock<Vec<Merged>>,
     id: ClientId,
@@ -67,17 +58,13 @@ impl PaconClient {
     pub(crate) fn new(
         core: Arc<RegionCore>,
         kv: memkv::KvClient,
-        publishers: Vec<Publisher<QueueMsg>>,
         dfs: DfsClient,
         id: ClientId,
         node: NodeId,
     ) -> Self {
-        let redelivery = ReliablePublisher::new(publishers[node.index()].clone());
         Self {
             cache: MetaCache::with_faults(kv, Arc::clone(&core)),
             core,
-            publishers,
-            redelivery,
             dfs,
             merged: RwLock::new(level::CLIENT_VIEW, "pacon.client.merged", Vec::new()),
             id,
@@ -172,42 +159,32 @@ impl PaconClient {
             self.core.note_completed();
             return Err(e);
         }
-        match self.redelivery.publish(msg) {
-            Ok(out) => {
-                // `pending > 0` = the broker link is down and the op sits
-                // in the redelivery window: acknowledged to the caller,
-                // still counted in flight, resent on heal/flush.
-                if out.pending > 0 {
-                    self.core.counters.incr("publishes_buffered");
-                }
-                Ok(())
-            }
-            Err(mq::Disconnected) => {
-                // Shutdown race. In durable mode the op is already
-                // journaled — keep it counted in flight so no truncation
-                // can drop it; the next launch replays it.
-                if !self.core.durable() {
-                    self.core.note_completed();
-                }
-                Err(FsError::Backend("commit queue closed".into()))
-            }
+        let published = self.core.publish_reliably(self.node.index(), msg);
+        // Shutdown race. In durable mode the op is already journaled —
+        // keep it counted in flight so no truncation can drop it; the
+        // next launch replays it.
+        if published.is_err() && !self.core.durable() {
+            self.core.note_completed();
         }
+        published
     }
 
-    /// Reconcile this client's redelivery window with its node's broker:
-    /// resend commit ops provably lost in a broker crash, deliver ones
-    /// buffered while the link was down. Returns how many messages this
-    /// call delivered. The chaos driver calls this after healing a link.
+    /// Reconcile this client's node's redelivery window with its broker:
+    /// resend commit messages provably lost in a broker crash, deliver
+    /// ones buffered while the link was down. Returns how many messages
+    /// this call delivered. `ScenarioDriver::settle` calls this after
+    /// the links heal.
     pub fn flush_publishes(&self) -> FsResult<usize> {
-        self.redelivery
+        self.core.queues[self.node.index()]
             .flush()
             .map(|out| out.delivered)
             .map_err(|_| FsError::Backend("commit queue closed".into()))
     }
 
-    /// Commit messages not yet provably consumed by this node's broker.
+    /// Commit messages of this client's node not yet provably consumed by
+    /// its broker.
     pub fn unacked_publishes(&self) -> usize {
-        self.redelivery.unacked()
+        self.core.queues[self.node.index()].unacked()
     }
 
     /// Group commit: buffer the op in the node's publish buffer instead
@@ -256,7 +233,7 @@ impl PaconClient {
                     // `flush_publish_buffer` re-takes the lock; a racing
                     // publisher may have flushed first, which is fine —
                     // an empty buffer makes this a no-op.
-                    self.core.flush_publish_buffer(node, &self.publishers[node])?;
+                    self.core.flush_publish_buffer(node)?;
                 }
             }
             Buffered::Cancelled { absorbed } => {
@@ -589,35 +566,13 @@ impl PaconClient {
         Ok(())
     }
 
-    /// Push a barrier marker into every node queue and wait for all
-    /// commit processes to reach it. Returns the guard; the caller
-    /// performs the dependent op, then completes it.
+    /// Push a barrier marker into every node queue (one queue push each)
+    /// and wait for all commit processes to reach it. Returns the guard;
+    /// the caller performs the dependent op, then completes it.
     fn barrier(&self) -> FsResult<crate::commit::barrier::BarrierGuard<'_>> {
-        let guard = self.core.board.start_barrier();
-        let epoch = guard.epoch();
-        for (n, tx) in self.publishers.iter().enumerate() {
-            // Barriers always force publish buffers out: every op queued
-            // before the marker must commit before the dependent op runs,
-            // including ops still coalescing below the batch threshold.
-            self.core.flush_publish_buffer(n, tx)?;
-            charge(Station::ClientCpu, self.profile().queue_push);
-            // permit_blocking: the barrier slot is held across the marker
-            // send by design — workers never take the slot, they only
-            // drain the queue, so a full queue always resolves.
-            syncguard::permit_blocking(|| {
-                tx.send(QueueMsg {
-                    id: dfs::OpId::NONE,
-                    op: CommitOp::Barrier { epoch },
-                    client: self.id.0,
-                    epoch,
-                    timestamp: self.core.now(),
-                    degraded: false,
-                })
-            })
-            .map_err(|_| FsError::Backend("commit queue closed".into()))?;
-        }
-        guard.wait_workers();
-        Ok(guard)
+        let pushes = self.core.queues.len() as u64;
+        charge(Station::ClientCpu, pushes * self.profile().queue_push);
+        self.core.barrier(self.id.0)
     }
 
     /// Recursively remove a committed subtree on the DFS (rmdir support;

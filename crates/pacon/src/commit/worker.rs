@@ -29,7 +29,7 @@ use std::sync::Arc;
 use dfs::{BatchOp, DfsClient};
 use fsapi::{path as fspath, FsError, FsResult};
 use fsapi::FileSystem;
-use mq::{Consumer, TryRecvError};
+use mq::{Consumer, ReliablePublisher, TryRecvError};
 use simnet::{charge, NodeId, Station};
 
 use crate::cache::MetaCache;
@@ -189,6 +189,9 @@ impl CommitWorker {
         // retry backlog.
         match self.consumer.try_recv() {
             Ok(msg) => {
+                // The message is consumed: release the redelivery
+                // window's copy now rather than at the next publish.
+                ReliablePublisher::trim(&self.core.queues[self.node.0 as usize]);
                 if self.is_duplicate(&msg) {
                     self.core.counters.incr("duplicate_drops");
                     return WorkerStep::Retried;
@@ -201,7 +204,7 @@ impl CommitWorker {
                         // Re-enter immediately on the next step to flush.
                         WorkerStep::Retried
                     }
-                    CommitOp::Batch(inner) => self.apply_batch(inner),
+                    CommitOp::Batch(inner) => self.apply_batch(Arc::unwrap_or_clone(inner)),
                     _ => self.apply(msg, 0, false),
                 }
             }
@@ -217,14 +220,25 @@ impl CommitWorker {
     }
 
     /// The queue is empty: drain whatever accumulated in this node's
-    /// publish buffer below the flush threshold. Queue-empty means every
-    /// earlier message was consumed, so buffered ops are the newest and
-    /// applying them directly preserves per-node FIFO order.
+    /// publish buffer below the flush threshold. Queue-empty plus a
+    /// settled redelivery window means every earlier message was
+    /// consumed, so buffered ops are the newest and applying them
+    /// directly preserves per-node FIFO order. A batch the broker lost,
+    /// or one waiting for a severed link to heal, is older than anything
+    /// in the buffer: it is redelivered (or waited for) first.
     fn pull_publish_buffer(&mut self) -> Option<WorkerStep> {
         if self.core.config.commit_batch_size <= 1 {
             return None;
         }
-        let batch = self.core.publish_bufs[self.node.0 as usize].lock().take_all();
+        let node = self.node.0 as usize;
+        if self.core.publish_bufs[node].lock().is_empty() {
+            return None;
+        }
+        match ReliablePublisher::flush(&self.core.queues[node]) {
+            Ok(out) if out.delivered == 0 && out.pending == 0 => {}
+            _ => return None,
+        }
+        let batch = self.core.publish_bufs[node].lock().take_all();
         if batch.is_empty() {
             return None;
         }

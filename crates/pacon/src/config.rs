@@ -32,8 +32,6 @@ pub struct PaconConfig {
     /// Cache-space eviction threshold in bytes over the whole region
     /// (`None` = never evict; Section III.F assumes pressure is rare).
     pub eviction_threshold: Option<usize>,
-    /// Capacity of each per-node commit queue.
-    pub commit_queue_capacity: usize,
     /// Group commit: buffer up to this many operations per node before
     /// publishing them as one batched queue message. `1` disables
     /// batching — every op is published directly, the paper prototype's
@@ -68,14 +66,13 @@ pub struct PaconConfig {
     /// region a disjoint base so the simulated regions do not share
     /// service stations — they are on different physical nodes.
     pub station_base: u32,
-    /// Durable commit queue: journal every commit op into a per-node
-    /// write-ahead log before the mutation is acknowledged locally, and
-    /// replay the log (idempotently) on the next launch. Requires
-    /// `wal_dir`. Off by default — the paper's prototype is volatile.
-    pub commit_durability: bool,
-    /// Directory holding the per-node commit logs and the region's
-    /// incarnation counter. Must outlive the process for recovery to
-    /// mean anything.
+    /// Durable commit queue: when set, every commit op is journaled into
+    /// a per-node write-ahead log under this directory before the
+    /// mutation is acknowledged locally, and the log is replayed
+    /// (idempotently) on the next launch. The directory also holds the
+    /// region's incarnation counter and must outlive the process for
+    /// recovery to mean anything. `None` by default — the paper's
+    /// prototype is volatile.
     pub wal_dir: Option<std::path::PathBuf>,
     /// Group fsync: sync the log to disk every `n` appends instead of on
     /// every append. `1` = fsync per op (strict durability); larger
@@ -90,11 +87,6 @@ pub struct PaconConfig {
     /// and enters degraded mode. Measured on the region's virtual clock
     /// (no wall time is ever consumed).
     pub rpc_deadline: u64,
-    /// Fault plane: retry attempts after the initial try of a cache RPC.
-    pub retry_budget: u32,
-    /// Fault plane: first retry's nominal backoff in virtual ns; doubles
-    /// per retry with deterministic full jitter (see `retry::RetryPolicy`).
-    pub backoff_base: u64,
 }
 
 impl PaconConfig {
@@ -108,7 +100,6 @@ impl PaconConfig {
             parent_check: true,
             permissions: None,
             eviction_threshold: None,
-            commit_queue_capacity: 1 << 16,
             commit_batch_size: 1,
             commit_batch_coalescing: true,
             max_commit_retries: 10_000,
@@ -116,39 +107,16 @@ impl PaconConfig {
             hierarchical_permission_check: false,
             synchronous_commit: false,
             station_base: 0,
-            commit_durability: false,
             wal_dir: None,
             wal_fsync_batch: 1,
             recovery_crash_after: None,
             rpc_deadline: 8_000_000,
-            retry_budget: 4,
-            backoff_base: 100_000,
         }
-    }
-
-    /// Builder-style: set the per-RPC retry deadline (virtual ns).
-    pub fn with_rpc_deadline(mut self, ns: u64) -> Self {
-        self.rpc_deadline = ns;
-        self
-    }
-
-    /// Builder-style: set the cache-RPC retry budget.
-    pub fn with_retry_budget(mut self, attempts: u32) -> Self {
-        self.retry_budget = attempts;
-        self
-    }
-
-    /// Builder-style: set the base backoff delay (virtual ns).
-    pub fn with_backoff_base(mut self, ns: u64) -> Self {
-        assert!(ns >= 2, "backoff base must be at least 2 ns (jitter needs range)");
-        self.backoff_base = ns;
-        self
     }
 
     /// Builder-style: enable the durable commit queue, journaling into
     /// per-node write-ahead logs under `wal_dir`.
     pub fn with_durability(mut self, wal_dir: impl Into<std::path::PathBuf>) -> Self {
-        self.commit_durability = true;
         self.wal_dir = Some(wal_dir.into());
         self
     }
@@ -261,10 +229,6 @@ mod tests {
     fn fault_knobs_default_and_build() {
         let c = PaconConfig::new("/app", Topology::new(1, 1), Credentials::new(1, 1));
         assert_eq!(c.rpc_deadline, 8_000_000);
-        assert_eq!(c.retry_budget, 4);
-        assert_eq!(c.backoff_base, 100_000);
-        let c = c.with_rpc_deadline(1_000).with_retry_budget(2).with_backoff_base(10);
-        assert_eq!((c.rpc_deadline, c.retry_budget, c.backoff_base), (1_000, 2, 10));
     }
 
     #[test]

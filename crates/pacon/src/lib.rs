@@ -50,6 +50,7 @@ pub mod commit;
 pub mod config;
 pub mod degraded;
 pub mod directory;
+pub mod driver;
 pub mod eviction;
 pub mod metadata;
 pub mod permission;
@@ -64,6 +65,7 @@ pub use retry::RetryPolicy;
 pub use commit::op::{CommitOp, QueueMsg};
 pub use config::PaconConfig;
 pub use directory::RegionDirectory;
+pub use driver::ScenarioDriver;
 pub use metadata::CachedMeta;
 pub use permission::RegionPermissions;
 pub use region::{PaconRegion, RegionHandle};

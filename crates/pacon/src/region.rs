@@ -14,18 +14,21 @@ use dfs::DfsCluster;
 use fsapi::{path as fspath, FsError, FsResult};
 use fsapi::FileSystem;
 use memkv::KvCluster;
-use mq::{push_pull, Consumer, Publisher};
+use mq::{push_pull, ReliablePublisher};
 use simnet::{ClientId, Counters, NodeId};
 use syncguard::{level, Mutex, RwLock};
 
 use crate::client::PaconClient;
-use crate::commit::barrier::BarrierBoard;
+use crate::commit::barrier::{BarrierBoard, BarrierGuard};
 use crate::commit::op::{CommitOp, QueueMsg};
 use crate::commit::publish::PublishBuffer;
 use crate::commit::wal::{CommitWal, CrashPoint, CrashSwitch, WalEntry};
 use crate::commit::worker::{CommitWorker, WorkerStep};
 use crate::config::PaconConfig;
 use crate::permission::RegionPermissions;
+
+/// Capacity of each per-node commit queue.
+const COMMIT_QUEUE_CAPACITY: usize = 1 << 16;
 
 /// State shared by every client and commit process of one region.
 pub struct RegionCore {
@@ -80,6 +83,12 @@ pub struct RegionCore {
     /// they enter the commit queue. Unused (always empty) when
     /// `commit_batch_size <= 1`.
     pub publish_bufs: Vec<Mutex<PublishBuffer>>,
+    /// Per-node commit-queue links, each behind one redelivery window.
+    /// Every commit op and group-commit batch is published through its
+    /// node's window, so it survives broker loss and is resent after a
+    /// heal or flush. Barrier markers use the raw link on purpose — a
+    /// barrier during an outage should fail, not silently queue.
+    pub(crate) queues: Vec<ReliablePublisher<QueueMsg>>,
     pub counters: Counters,
     /// Operations published to the commit queues (barrier markers not
     /// counted).
@@ -316,17 +325,57 @@ impl RegionCore {
         Ok(())
     }
 
+    /// Open a barrier for `client`: force every node's publish buffer out
+    /// (every op queued before the marker must commit before the
+    /// dependent op runs, including ops still coalescing below the batch
+    /// threshold), queue a marker behind it on every node, and wait until
+    /// every commit process reached its marker. The caller performs the
+    /// dependent op, then completes the guard.
+    pub(crate) fn barrier(&self, client: u32) -> FsResult<BarrierGuard<'_>> {
+        let guard = self.board.start_barrier();
+        let epoch = guard.epoch();
+        for (n, queue) in self.queues.iter().enumerate() {
+            self.flush_publish_buffer(n)?;
+            let marker = QueueMsg {
+                op: CommitOp::Barrier { epoch },
+                client,
+                epoch,
+                timestamp: self.now(),
+                id: dfs::OpId::NONE,
+                degraded: false,
+            };
+            // permit_blocking: the barrier slot is held across the marker
+            // send by design — workers never take the slot, they only
+            // drain the queue, so a full queue always resolves.
+            syncguard::permit_blocking(|| queue.inner().send(marker))
+                .map_err(|_| FsError::Backend("commit queue closed".into()))?;
+        }
+        guard.wait_workers();
+        Ok(guard)
+    }
+
+    /// Publish `msg` through node `node`'s redelivery window. A severed
+    /// link buffers it — acknowledged, still in flight, resent on heal or
+    /// flush — instead of failing. `Err` only once every consumer is gone.
+    pub(crate) fn publish_reliably(&self, node: usize, msg: QueueMsg) -> FsResult<()> {
+        match ReliablePublisher::publish(&self.queues[node], msg) {
+            Ok(out) => {
+                if out.pending > 0 {
+                    self.counters.incr("publishes_buffered");
+                }
+                Ok(())
+            }
+            Err(mq::Disconnected) => Err(FsError::Backend("commit queue closed".into())),
+        }
+    }
+
     /// Flush node `node`'s publish buffer into its commit queue as one
-    /// message. The buffer lock is held across the send so concurrent
-    /// publishers on the node cannot reorder around the flush. This is
-    /// deadlock-free: the commit process only takes the buffer lock when
-    /// its queue is *empty*, so a full queue implies it is draining and
-    /// the blocking send resolves.
-    pub(crate) fn flush_publish_buffer(
-        &self,
-        node: usize,
-        publisher: &Publisher<QueueMsg>,
-    ) -> FsResult<()> {
+    /// message, through the node's redelivery window. The buffer lock is
+    /// held across the send so concurrent publishers on the node cannot
+    /// reorder around the flush. This is deadlock-free: the commit
+    /// process only takes the buffer lock when its queue is *empty*, so a
+    /// full queue implies it is draining and the blocking send resolves.
+    pub(crate) fn flush_publish_buffer(&self, node: usize) -> FsResult<()> {
         let mut buf = self.publish_bufs[node].lock();
         if buf.is_empty() {
             return Ok(());
@@ -338,7 +387,7 @@ impl RegionCore {
             self.counters.incr("batches_flushed");
             self.counters.add("batched_ops", batch.len() as u64);
             QueueMsg {
-                op: CommitOp::Batch(batch),
+                op: CommitOp::Batch(Arc::new(batch)),
                 client: u32::MAX,
                 epoch: self.board.current_epoch(),
                 timestamp: self.now(),
@@ -348,11 +397,7 @@ impl RegionCore {
         };
         // permit_blocking: the send blocks while the buffer lock is held by
         // design (see the method doc for the deadlock-freedom argument).
-        syncguard::permit_blocking(|| {
-            publisher
-                .send(msg)
-                .map_err(|_| FsError::Backend("commit queue closed".into()))
-        })
+        syncguard::permit_blocking(|| self.publish_reliably(node, msg))
     }
 }
 
@@ -369,8 +414,6 @@ pub struct RegionHandle {
 pub struct PaconRegion {
     core: Arc<RegionCore>,
     dfs: Arc<DfsCluster>,
-    /// Per-node queue publishers (template; clients clone their node's).
-    publishers: Vec<Publisher<QueueMsg>>,
     /// Workers not yet claimed by a thread or the DES driver.
     worker_slots: Mutex<Vec<Option<CommitWorker>>>,
     threads: Mutex<Vec<std::thread::JoinHandle<()>>>,
@@ -431,13 +474,10 @@ impl PaconRegion {
         let mut wals = Vec::new();
         let mut recovered: Vec<Vec<WalEntry>> = Vec::new();
         let mut incarnation = 0u64;
-        if config.commit_durability {
-            let wal_dir = config.wal_dir.clone().ok_or_else(|| {
-                FsError::InvalidPath("commit_durability requires wal_dir".into())
-            })?;
-            std::fs::create_dir_all(&wal_dir)
+        if let Some(wal_dir) = &config.wal_dir {
+            std::fs::create_dir_all(wal_dir)
                 .map_err(|e| FsError::Backend(format!("wal dir {}: {e}", wal_dir.display())))?;
-            incarnation = bump_incarnation(&wal_dir)?;
+            incarnation = bump_incarnation(wal_dir)?;
             for n in 0..nodes {
                 let (wal, entries) = CommitWal::open(
                     &wal_dir.join(format!("node{n}.wal")),
@@ -448,6 +488,8 @@ impl PaconRegion {
             }
         }
 
+        let (txs, rxs): (Vec<_>, Vec<_>) =
+            (0..nodes).map(|_| push_pull::<QueueMsg>(COMMIT_QUEUE_CAPACITY)).unzip();
         let core = Arc::new(RegionCore {
             root,
             perms,
@@ -478,6 +520,7 @@ impl PaconRegion {
             publish_bufs: (0..nodes)
                 .map(|_| Mutex::new(level::PUBLISH, "pacon.region.publish_buf", PublishBuffer::new()))
                 .collect(),
+            queues: txs.into_iter().map(ReliablePublisher::new).collect(),
             counters: Counters::new(),
             enqueued: AtomicU64::new(0),
             completed: AtomicU64::new(0),
@@ -521,24 +564,17 @@ impl PaconRegion {
             core.counters.add("replay_pruned", pruned as u64);
         }
 
-        let mut publishers = Vec::with_capacity(nodes);
-        let mut workers = Vec::with_capacity(nodes);
-        for n in 0..nodes as u32 {
-            let (tx, rx): (Publisher<QueueMsg>, Consumer<QueueMsg>) =
-                push_pull(core.config.commit_queue_capacity);
-            publishers.push(tx);
-            workers.push(Some(CommitWorker::new(
-                NodeId(n),
-                rx,
-                dfs.client(),
-                Arc::clone(&core),
-            )));
-        }
+        let workers = rxs
+            .into_iter()
+            .enumerate()
+            .map(|(n, rx)| {
+                Some(CommitWorker::new(NodeId(n as u32), rx, dfs.client(), Arc::clone(&core)))
+            })
+            .collect();
 
         Ok(Arc::new(Self {
             core,
             dfs: Arc::clone(dfs),
-            publishers,
             worker_slots: Mutex::new(level::REGION_STATE, "pacon.region.worker_slots", workers),
             threads: Mutex::new(level::REGION_STATE, "pacon.region.threads", Vec::new()),
             stop: Arc::new(AtomicBool::new(false)),
@@ -597,7 +633,6 @@ impl PaconRegion {
         PaconClient::new(
             Arc::clone(&self.core),
             self.core.cache_cluster.client(node),
-            self.publishers.clone(),
             self.dfs.client(),
             id,
             node,
@@ -668,14 +703,14 @@ impl PaconRegion {
                 self.core.cache_cluster.set_slowdown(node, extra_ns)
             }
             E::RestoreCacheNode(n) => self.core.cache_cluster.set_slowdown(n, 0),
-            E::PartitionCommitLink(n) => self.publishers[n.0 as usize].partition(),
+            E::PartitionCommitLink(n) => self.link(n.index()).partition(),
             E::CrashBroker(n) => {
-                let lost = self.publishers[n.0 as usize].sever();
+                let lost = self.link(n.index()).sever();
                 self.core.counters.add("broker_lost_msgs", lost as u64);
             }
-            E::HealCommitLink(n) => self.publishers[n.0 as usize].heal(),
+            E::HealCommitLink(n) => self.link(n.index()).heal(),
             E::DuplicateCommitSends { node, count } => {
-                self.publishers[node.0 as usize].arm_duplicates(count)
+                self.link(node.index()).arm_duplicates(count)
             }
             E::JoinNode(n) => {
                 let _ = self.core.cache_cluster.begin_join(n);
@@ -703,9 +738,9 @@ impl PaconRegion {
         self.core.cache_cluster.migration_step(max_keys)
     }
 
-    /// Is node `n`'s commit link currently down?
-    pub fn commit_link_severed(&self, n: usize) -> bool {
-        self.publishers[n].is_severed()
+    /// Node `n`'s raw commit-queue link, for fault control.
+    fn link(&self, n: usize) -> &mq::Publisher<QueueMsg> {
+        self.core.queues[n].inner()
     }
 
     /// Run an empty barrier: returns once every operation published
@@ -713,30 +748,7 @@ impl PaconRegion {
     /// and by tests that need a consistent backup copy without shutting
     /// the region down.
     pub fn sync_barrier(&self) {
-        let guard = self.core.board.start_barrier();
-        let epoch = guard.epoch();
-        for (n, tx) in self.publishers.iter().enumerate() {
-            // Barriers always force the publish buffer out first; the
-            // marker must sit behind every op published before it.
-            self.core
-                .flush_publish_buffer(n, tx)
-                .expect("commit queue closed during sync barrier");
-            // permit_blocking: the barrier slot is held across the marker
-            // send by design — workers never take the slot, they only
-            // drain the queue, so a full queue always resolves.
-            syncguard::permit_blocking(|| {
-                tx.send(QueueMsg {
-                    op: CommitOp::Barrier { epoch },
-                    client: u32::MAX,
-                    epoch,
-                    timestamp: self.core.now(),
-                    id: dfs::OpId::NONE,
-                    degraded: false,
-                })
-            })
-            .expect("commit queue closed during sync barrier");
-        }
-        guard.wait_workers();
+        let guard = self.core.barrier(u32::MAX).expect("commit queue closed during sync barrier");
         guard.complete();
         // Everything published before the barrier is now confirmed; a
         // drained durable region can shed its logs.

@@ -309,24 +309,14 @@ mod tests {
         let cred = Credentials::new(1, 1);
         // Paused region: the worker only runs after all 40 creates are
         // buffered, so exactly 5 full batches of 8 form deterministically.
-        let region = PaconRegion::launch_paused(
-            PaconConfig::new("/app", Topology::new(1, 1), cred).with_commit_batch(8),
-            &dfs,
-        )
-        .unwrap();
-        let c = region.client(ClientId(0));
+        let config = PaconConfig::new("/app", Topology::new(1, 1), cred).with_commit_batch(8);
+        let mut d = crate::ScenarioDriver::launch(config, &dfs).unwrap();
         for i in 0..40 {
-            c.create(&format!("/app/f{i}"), &cred, 0o644).unwrap();
+            d.clients()[0].create(&format!("/app/f{i}"), &cred, 0o644).unwrap();
         }
-        let mut w = region.take_worker(0);
-        let mut spins = 0;
-        while !region.core().drained() {
-            w.step();
-            spins += 1;
-            assert!(spins < 10_000, "commit never converged");
-        }
+        d.drain().unwrap();
 
-        let r = region.report();
+        let r = d.region().report();
         assert_eq!(r.committed, 40);
         assert_eq!(r.backlog(), 0);
         assert_eq!(r.batches_flushed, 5);

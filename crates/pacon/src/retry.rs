@@ -8,9 +8,16 @@
 
 use crate::config::PaconConfig;
 
+/// Retry attempts after the initial try of a cache RPC.
+pub const RETRY_BUDGET: u32 = 4;
+
+/// First retry's nominal backoff in virtual ns; doubles per retry with
+/// deterministic full jitter.
+pub const BACKOFF_BASE_NS: u64 = 100_000;
+
 /// How many times the base delay may double before it is clamped. With
-/// the default budget (a handful of retries) the cap never binds; it is
-/// a safety rail for configs with a huge `retry_budget`.
+/// [`RETRY_BUDGET`] retries the cap never binds; it is a safety rail for
+/// hand-built policies with a huge budget.
 const CAP_DOUBLINGS: u32 = 6;
 
 /// Backoff/deadline envelope guarding one cache RPC.
@@ -28,15 +35,14 @@ pub struct RetryPolicy {
 }
 
 impl RetryPolicy {
-    /// Policy from the region's config knobs (`rpc_deadline`,
-    /// `retry_budget`, `backoff_base`).
+    /// Policy for the region's `rpc_deadline` with the fixed
+    /// [`RETRY_BUDGET`] and [`BACKOFF_BASE_NS`].
     pub fn from_config(cfg: &PaconConfig) -> Self {
-        let base = cfg.backoff_base.max(2);
         Self {
             deadline_ns: cfg.rpc_deadline,
-            budget: cfg.retry_budget,
-            base_ns: base,
-            cap_ns: base.saturating_mul(1 << CAP_DOUBLINGS),
+            budget: RETRY_BUDGET,
+            base_ns: BACKOFF_BASE_NS,
+            cap_ns: BACKOFF_BASE_NS << CAP_DOUBLINGS,
         }
     }
 

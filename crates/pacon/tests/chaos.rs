@@ -17,19 +17,20 @@
 //!   degraded-mode state machine is Healthy again and further reads are
 //!   cache-served (the `degraded_reads` counter stops moving).
 //!
-//! On failure the applied fault trace is written to `target/chaos/` so
-//! the run can be replayed from its seed.
+//! Every scenario runs on [`ScenarioDriver`]: one paused region, one
+//! client per node, the commit workers stepped tick by tick. On failure
+//! the applied fault trace is written to `target/chaos/` so the run can
+//! be replayed from its seed.
 
 use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::Arc;
 
 use dfs::DfsCluster;
 use fsapi::{Credentials, FileKind, FileSystem, FsResult};
-use pacon::commit::worker::{CommitWorker, WorkerStep};
-use pacon::{DegradedMode, PaconConfig, PaconRegion};
+use pacon::{DegradedMode, PaconConfig, ScenarioDriver};
 use proptest::prelude::*;
 use rand::{rngs::StdRng, Rng, SeedableRng};
-use simnet::{ClientId, FaultEvent, FaultPlan, LatencyProfile, NodeId, Topology};
+use simnet::{FaultEvent, FaultPlan, LatencyProfile, NodeId, Topology};
 
 const NODES: u32 = 3;
 /// Virtual ns the driver advances per workload iteration.
@@ -74,11 +75,9 @@ struct TraceOnPanic<'a> {
 impl Drop for TraceOnPanic<'_> {
     fn drop(&mut self) {
         if std::thread::panicking() {
-            let path = std::path::Path::new(concat!(
-                env!("CARGO_MANIFEST_DIR"),
-                "/../../target/chaos"
-            ))
-            .join(&self.name);
+            let path =
+                std::path::Path::new(concat!(env!("CARGO_MANIFEST_DIR"), "/../../target/chaos"))
+                    .join(&self.name);
             if self.plan.write_trace(&path).is_ok() {
                 eprintln!("fault trace written to {}", path.display());
             }
@@ -86,26 +85,61 @@ impl Drop for TraceOnPanic<'_> {
     }
 }
 
-/// Step every worker once; returns true if any made progress.
-fn step_all(workers: &mut [CommitWorker]) -> bool {
-    let mut progress = false;
-    for w in workers.iter_mut() {
-        match w.step() {
-            WorkerStep::Idle | WorkerStep::Disconnected | WorkerStep::Blocked(_) => {}
-            _ => progress = true,
-        }
-    }
-    progress
+/// The stable paths the recovery probe stats.
+fn stable_files() -> Vec<String> {
+    (0..12).map(sfile).collect()
 }
 
-/// Drive the workers until every enqueued op has settled.
-fn drain(region: &Arc<PaconRegion>, workers: &mut [CommitWorker]) {
-    let mut spins = 0u32;
-    while !region.core().drained() {
-        step_all(workers);
-        spins += 1;
-        assert!(spins < 500_000, "commit pipeline did not converge");
+/// Build and fully commit the stable universe; returns its acked ops.
+fn stable_universe(d: &mut ScenarioDriver, cred: &Credentials) -> FsResult<Vec<Acked>> {
+    let clients = d.clients();
+    let mut acked = Vec::new();
+    for dir in 0..4 {
+        clients[dir % 3].mkdir(&sdir(dir), cred, 0o755)?;
+        acked.push(Acked::Mkdir(sdir(dir)));
     }
+    for i in 0..12 {
+        clients[(i / 3) % 3].create(&sfile(i), cred, 0o644)?;
+        acked.push(Acked::Create(sfile(i)));
+    }
+    d.drain()?;
+    Ok(acked)
+}
+
+/// One seeded op on the transient universe; an `Ok` is recorded as acked.
+fn churn(d: &ScenarioDriver, rng: &mut StdRng, cred: &Credentials, acked: &mut Vec<Acked>) {
+    let clients = d.clients();
+    match rng.gen_range(0u32..9) {
+        0..=1 => {
+            let dir = rng.gen_range(0usize..4);
+            if clients[dir % 3].mkdir(&tdir(dir), cred, 0o755).is_ok() {
+                acked.push(Acked::Mkdir(tdir(dir)));
+            }
+        }
+        2..=5 => {
+            let i = rng.gen_range(0usize..12);
+            if clients[(i / 3) % 3].create(&tfile(i), cred, 0o644).is_ok() {
+                acked.push(Acked::Create(tfile(i)));
+            }
+        }
+        _ => {
+            let i = rng.gen_range(0usize..12);
+            if clients[(i / 3) % 3].unlink(&tfile(i), cred).is_ok() {
+                acked.push(Acked::Unlink(tfile(i)));
+            }
+        }
+    }
+}
+
+/// A committed path must stay readable through any fault — from the
+/// cache, degraded from the backup, or double-read mid-migration — and
+/// must agree with the backup (never staler than the DFS).
+fn check_stable_stat(d: &ScenarioDriver, rng: &mut StdRng, cred: &Credentials, when: &str) {
+    let p = sfile(rng.gen_range(0usize..12));
+    let st = d.clients()[rng.gen_range(0usize..3)].stat(&p, cred);
+    assert!(st.is_ok(), "stable path {p} unreadable {when}: {st:?}");
+    let backup = d.region().dfs().client().stat(&p, cred).expect("stable path on backup");
+    assert_eq!(st.unwrap().kind, backup.kind, "read of {p} {when} staler than backup");
 }
 
 /// Replay the acked ops in program order onto a fresh, unfaulted DFS and
@@ -131,28 +165,6 @@ fn oracle_dfs(
     dfs
 }
 
-/// After the storm has cleared, pull the degraded-mode state machine
-/// back to Healthy by issuing reads with the probe interval elapsing
-/// between them.
-fn recover(
-    region: &Arc<PaconRegion>,
-    clients: &[pacon::PaconClient],
-    cred: &Credentials,
-    workers: &mut [CommitWorker],
-) {
-    let core = region.core();
-    let mut guard = 0;
-    while core.degraded.mode() != DegradedMode::Healthy {
-        core.advance(10_000_000); // > default rpc_deadline: next probe is due
-        let p = sfile(guard % 12);
-        let st = clients[guard % clients.len()].stat(&p, cred);
-        assert!(st.is_ok(), "stable path {p} unreadable during recovery: {st:?}");
-        step_all(workers);
-        guard += 1;
-        assert!(guard < 64, "region never recovered to Healthy");
-    }
-}
-
 /// Assert the faulted region's backup namespace (and the contents of the
 /// stable file slots) match the oracle's.
 fn assert_matches_oracle(dfs: &Arc<DfsCluster>, oracle: &Arc<DfsCluster>, cred: &Credentials) {
@@ -174,6 +186,24 @@ fn assert_matches_oracle(dfs: &Arc<DfsCluster>, oracle: &Arc<DfsCluster>, cred: 
 /// Scenario A: the full storm (cache crashes included) over a namespace
 /// workload, with committed paths stat'd throughout.
 fn cache_storm(seed: u64) {
+    namespace_storm(seed, false);
+}
+
+/// Scenario C: live resharding under the fault plane. The ring shrinks,
+/// grows and loses nodes mid-transfer while the metadata workload keeps
+/// running; the driver pumps the migration a few keys per tick, exactly
+/// like a background transfer thread would. Every acked namespace update
+/// must still reach the backup, every mid-storm stat of a committed path
+/// must stay readable and agree with the backup, the ring epoch must be
+/// monotonic tick over tick, and the region must end Healthy with the
+/// reshard counters showing real work.
+fn reshard_storm(seed: u64) {
+    namespace_storm(seed, true);
+}
+
+/// Scenarios A and C: one namespace op and one stable stat per tick
+/// under the cache storm or, with `reshard`, the reshard plan.
+fn namespace_storm(seed: u64, reshard: bool) {
     let profile = Arc::new(LatencyProfile::zero());
     let cred = Credentials::new(1, 1);
     let dfs = DfsCluster::with_default_config(Arc::clone(&profile));
@@ -181,97 +211,59 @@ fn cache_storm(seed: u64) {
     // Keep duplicate-create spins (the documented degraded-mode
     // admission gap) from burning 10k commit retries before they drop.
     config.max_commit_retries = 200;
-    let region = PaconRegion::launch_paused(config, &dfs).unwrap();
-    let clients: Vec<_> = (0..NODES).map(|i| region.client(ClientId(i))).collect();
-    let mut workers: Vec<_> = (0..NODES as usize).map(|n| region.take_worker(n)).collect();
-    let core = region.core();
+    let mut d = ScenarioDriver::launch(config, &dfs).unwrap();
+    let core = Arc::clone(d.core());
 
     // Phase 0: build and fully commit the stable universe.
-    let mut acked: Vec<Acked> = Vec::new();
-    for d in 0..4 {
-        clients[d % 3].mkdir(&sdir(d), &cred, 0o755).unwrap();
-        acked.push(Acked::Mkdir(sdir(d)));
-    }
-    for i in 0..12 {
-        clients[(i / 3) % 3].create(&sfile(i), &cred, 0o644).unwrap();
-        acked.push(Acked::Create(sfile(i)));
-    }
-    drain(&region, &mut workers);
+    let mut acked = stable_universe(&mut d, &cred).unwrap();
 
-    let plan = FaultPlan::storm(seed, NODES, STORM_START, STORM_END, STORM_ROUNDS);
-    let _trace = TraceOnPanic { plan: &plan, name: format!("cache-storm-{seed}.trace") };
-    let mut rng = StdRng::seed_from_u64(seed ^ 0x9e3779b97f4a7c15);
-    let oracle_check = dfs.client();
+    let (plan, name, salt, when) = if reshard {
+        (reshard_plan(seed), "reshard-storm", 0x2545f4914f6cdd1d, "mid-reshard")
+    } else {
+        let plan = FaultPlan::storm(seed, NODES, STORM_START, STORM_END, STORM_ROUNDS);
+        (plan, "cache-storm", 0x9e3779b97f4a7c15, "mid-storm")
+    };
+    let _trace = TraceOnPanic { plan: &plan, name: format!("{name}-{seed}.trace") };
+    let mut rng = StdRng::seed_from_u64(seed ^ salt);
 
-    // Phase 1: the storm. One namespace op and one stable stat per tick.
-    let mut last_epoch = core.cache_cluster.ring_epoch();
+    // Phase 1: the storm. The tick checks ring-epoch monotonicity through
+    // every fault event; the reshard storm's background transfer moves a
+    // bounded batch of keys per tick.
     while core.sim_ns() < STORM_END + STEP_NS {
-        core.advance(STEP_NS);
-        for ev in plan.advance_to(core.sim_ns()) {
-            region.apply_fault(ev);
-        }
-        // Ring-epoch monotonicity holds through every fault event.
-        let epoch = core.cache_cluster.ring_epoch();
-        assert!(epoch >= last_epoch, "ring epoch regressed: {last_epoch} -> {epoch}");
-        last_epoch = epoch;
-
-        match rng.gen_range(0u32..9) {
-            0..=1 => {
-                let d = rng.gen_range(0usize..4);
-                if clients[d % 3].mkdir(&tdir(d), &cred, 0o755).is_ok() {
-                    acked.push(Acked::Mkdir(tdir(d)));
-                }
-            }
-            2..=5 => {
-                let i = rng.gen_range(0usize..12);
-                if clients[(i / 3) % 3].create(&tfile(i), &cred, 0o644).is_ok() {
-                    acked.push(Acked::Create(tfile(i)));
-                }
-            }
-            _ => {
-                let i = rng.gen_range(0usize..12);
-                if clients[(i / 3) % 3].unlink(&tfile(i), &cred).is_ok() {
-                    acked.push(Acked::Unlink(tfile(i)));
-                }
-            }
-        }
-
-        // A committed path must stay readable through any fault — from
-        // the cache, or degraded from the backup — and must agree with
-        // the backup (never staler than the DFS).
-        let p = sfile(rng.gen_range(0usize..12));
-        let st = clients[rng.gen_range(0usize..3)].stat(&p, &cred);
-        assert!(st.is_ok(), "stable path {p} unreadable mid-storm: {st:?}");
-        let backup = oracle_check.stat(&p, &cred).expect("stable path on backup");
-        assert_eq!(st.unwrap().kind, backup.kind, "degraded read of {p} staler than backup");
-
-        step_all(&mut workers);
+        let pump = if reshard { rng.gen_range(1usize..8) } else { 0 };
+        d.tick(STEP_NS, &plan, pump).unwrap();
+        churn(&d, &mut rng, &cred, &mut acked);
+        check_stable_stat(&d, &mut rng, &cred, when);
+        d.step_workers();
     }
     assert_eq!(plan.remaining(), 0, "storm events all applied");
 
-    // Phase 2: recovery. Heal is already scripted; re-warm the cache,
-    // flush the redelivery windows, drain the queues.
-    recover(&region, &clients, &cred, &mut workers);
-    for c in &clients {
-        c.flush_publishes().unwrap();
-    }
-    drain(&region, &mut workers);
-    for c in &clients {
-        // A second flush reconciles the window against the drained
-        // broker: everything must now be provably consumed.
-        c.flush_publishes().unwrap();
-        assert_eq!(c.unacked_publishes(), 0, "redelivery window not empty after drain");
-    }
+    // Phase 2: recovery. CrashDuringMigration picks its own victim, so
+    // the driver restarts whatever is still down, runs any in-flight
+    // transfer to completion (the epoch must not regress), re-warms the
+    // cache, flushes the redelivery windows and drains the queues.
+    d.settle(&stable_files()).unwrap();
 
     // No acknowledged update lost: backup namespace == oracle namespace.
     let oracle = oracle_dfs(&profile, &cred, &acked);
     assert_matches_oracle(&dfs, &oracle, &cred);
+    assert_eq!(core.degraded.mode(), DegradedMode::Healthy);
+
+    if reshard {
+        // The storm is not vacuous: every plan schedules at least one
+        // membership change, and the report surfaces the reshard telemetry.
+        let report = d.region().report();
+        assert!(report.reshard_started > 0, "plan scheduled no reshard");
+        assert!(report.ring_epoch > 0, "membership churn left the epoch at zero");
+        let text = report.to_string();
+        assert!(text.contains("ring:"), "report lost the ring line:\n{text}");
+        return;
+    }
 
     // Steady state: reads are cache-served again.
-    assert_eq!(core.degraded.mode(), DegradedMode::Healthy);
     let degraded_before = core.counters.get("degraded_reads");
     for i in 0..12 {
-        let st = clients[i % 3].stat(&sfile(i), &cred).unwrap();
+        let st = d.clients()[i % 3].stat(&sfile(i), &cred).unwrap();
         assert_eq!(st.kind, FileKind::File);
     }
     assert_eq!(
@@ -287,10 +279,7 @@ fn cache_storm(seed: u64) {
     if crashed {
         assert!(core.counters.get("rpc_retries") > 0, "no RPC retries despite a crash");
         assert!(core.counters.get("degraded_reads") > 0, "no degraded reads despite a crash");
-        assert!(
-            core.counters.get("degraded_recoveries") > 0,
-            "degraded window never closed"
-        );
+        assert!(core.counters.get("degraded_recoveries") > 0, "degraded window never closed");
         assert!(core.degraded.window_ns(core.sim_ns()) > 0);
     }
 }
@@ -317,20 +306,16 @@ fn link_plan(seed: u64) -> FaultPlan {
         let t_fault = slot + rng.gen_range(0..span / 2);
         let t_clear = slot + span / 2 + rng.gen_range(0..span / 2);
         let node = NodeId(rng.gen_range(0..NODES));
-        match rng.gen_range(0u32..3) {
-            0 => {
-                events.push((t_fault, FaultEvent::PartitionCommitLink(node)));
-                events.push((t_clear, FaultEvent::HealCommitLink(node)));
-            }
-            1 => {
-                events.push((t_fault, FaultEvent::CrashBroker(node)));
-                events.push((t_clear, FaultEvent::HealCommitLink(node)));
-            }
+        let fault = match rng.gen_range(0u32..3) {
+            0 => FaultEvent::PartitionCommitLink(node),
+            1 => FaultEvent::CrashBroker(node),
             _ => {
                 let count = rng.gen_range(1u32..4);
                 events.push((t_fault, FaultEvent::DuplicateCommitSends { node, count }));
+                continue;
             }
-        }
+        };
+        events.extend([(t_fault, fault), (t_clear, FaultEvent::HealCommitLink(node))]);
     }
     FaultPlan::from_events(events)
 }
@@ -344,39 +329,20 @@ fn link_storm_with_writes(seed: u64) -> FsResult<()> {
     let cred = Credentials::new(1, 1);
     let dfs = DfsCluster::with_default_config(Arc::clone(&profile));
     let wal_dir = fresh_wal_dir("link");
-    let config =
-        PaconConfig::new("/w", Topology::new(NODES, 1), cred).with_durability(&wal_dir);
-    let region = PaconRegion::launch_paused(config, &dfs)?;
-    let clients: Vec<_> = (0..NODES).map(|i| region.client(ClientId(i))).collect();
-    let mut workers: Vec<_> = (0..NODES as usize).map(|n| region.take_worker(n)).collect();
-    let core = region.core();
+    let config = PaconConfig::new("/w", Topology::new(NODES, 1), cred).with_durability(&wal_dir);
+    let mut d = ScenarioDriver::launch(config, &dfs)?;
+    let core = Arc::clone(d.core());
 
-    let mut acked: Vec<Acked> = Vec::new();
-    for d in 0..4 {
-        clients[d % 3].mkdir(&sdir(d), &cred, 0o755)?;
-        acked.push(Acked::Mkdir(sdir(d)));
-    }
-    for i in 0..12 {
-        clients[(i / 3) % 3].create(&sfile(i), &cred, 0o644)?;
-        acked.push(Acked::Create(sfile(i)));
-    }
-    drain(&region, &mut workers);
+    let mut acked = stable_universe(&mut d, &cred)?;
 
     let plan = link_plan(seed);
     let _trace = TraceOnPanic { plan: &plan, name: format!("link-storm-{seed}.trace") };
     let mut rng = StdRng::seed_from_u64(seed ^ 0x5851f42d4c957f2d);
 
-    let mut last_epoch = core.cache_cluster.ring_epoch();
     while core.sim_ns() < STORM_END + STEP_NS {
-        core.advance(STEP_NS);
-        for ev in plan.advance_to(core.sim_ns()) {
-            region.apply_fault(ev);
-        }
-        let epoch = core.cache_cluster.ring_epoch();
-        assert!(epoch >= last_epoch, "ring epoch regressed: {last_epoch} -> {epoch}");
-        last_epoch = epoch;
+        d.tick(STEP_NS, &plan, 0)?;
         let i = rng.gen_range(0usize..12);
-        let c = &clients[(i / 3) % 3];
+        let c = &d.clients()[(i / 3) % 3];
         match rng.gen_range(0u32..8) {
             0..=4 => {
                 let b = rng.gen_range(0u32..256) as u8;
@@ -396,19 +362,13 @@ fn link_storm_with_writes(seed: u64) -> FsResult<()> {
                 }
             }
         }
-        step_all(&mut workers);
+        d.step_workers();
     }
     assert_eq!(plan.remaining(), 0, "storm events all applied");
 
-    // Links are healed: flush every redelivery window, then drain.
-    for c in &clients {
-        c.flush_publishes()?;
-    }
-    drain(&region, &mut workers);
-    for c in &clients {
-        c.flush_publishes()?;
-        assert_eq!(c.unacked_publishes(), 0, "redelivery window not empty after drain");
-    }
+    // Links are healed: flush every redelivery window, then drain. The
+    // cache never went down, so there is nothing to probe.
+    d.settle(&[])?;
 
     let oracle = oracle_dfs(&profile, &cred, &acked);
     assert_matches_oracle(&dfs, &oracle, &cred);
@@ -439,150 +399,28 @@ fn reshard_plan(seed: u64) -> FaultPlan {
             // (If the leave's transfer is still in flight at t_clear the
             // join is a documented no-op; per-tick pumping below makes
             // that rare.)
-            0 => {
-                events.push((t_fault, FaultEvent::LeaveNode(node)));
-                events.push((t_clear, FaultEvent::JoinNode(node)));
-            }
+            0 => events.extend([
+                (t_fault, FaultEvent::LeaveNode(node)),
+                (t_clear, FaultEvent::JoinNode(node)),
+            ]),
             // Crash the migrating node itself mid-transfer: the leave
             // force-completes (or an in-flight join aborts), then the
             // victim restarts cold and rejoins.
-            1 => {
-                events.push((t_fault, FaultEvent::LeaveNode(node)));
-                events.push((t_mid, FaultEvent::CrashDuringMigration));
-                events.push((t_clear, FaultEvent::RestartCacheNode(node)));
-                events.push(((t_clear + span / 8).min(STORM_END), FaultEvent::JoinNode(node)));
-            }
+            1 => events.extend([
+                (t_fault, FaultEvent::LeaveNode(node)),
+                (t_mid, FaultEvent::CrashDuringMigration),
+                (t_clear, FaultEvent::RestartCacheNode(node)),
+                ((t_clear + span / 8).min(STORM_END), FaultEvent::JoinNode(node)),
+            ]),
             // Plain crash/restart overlapping whatever migration the
             // neighbouring rounds left running.
-            _ => {
-                events.push((t_fault, FaultEvent::CrashCacheNode(node)));
-                events.push((t_clear, FaultEvent::RestartCacheNode(node)));
-            }
+            _ => events.extend([
+                (t_fault, FaultEvent::CrashCacheNode(node)),
+                (t_clear, FaultEvent::RestartCacheNode(node)),
+            ]),
         }
     }
     FaultPlan::from_events(events)
-}
-
-/// Scenario C: live resharding under the fault plane. The ring shrinks,
-/// grows and loses nodes mid-transfer while the metadata workload keeps
-/// running; the driver pumps the migration a few keys per tick, exactly
-/// like a background transfer thread would. Every acked namespace update
-/// must still reach the backup, every mid-storm stat of a committed path
-/// must stay readable and agree with the backup, the ring epoch must be
-/// monotonic tick over tick, and the region must end Healthy with the
-/// reshard counters showing real work.
-fn reshard_storm(seed: u64) {
-    let profile = Arc::new(LatencyProfile::zero());
-    let cred = Credentials::new(1, 1);
-    let dfs = DfsCluster::with_default_config(Arc::clone(&profile));
-    let mut config = PaconConfig::new("/w", Topology::new(NODES, 1), cred);
-    config.max_commit_retries = 200;
-    let region = PaconRegion::launch_paused(config, &dfs).unwrap();
-    let clients: Vec<_> = (0..NODES).map(|i| region.client(ClientId(i))).collect();
-    let mut workers: Vec<_> = (0..NODES as usize).map(|n| region.take_worker(n)).collect();
-    let core = region.core();
-
-    let mut acked: Vec<Acked> = Vec::new();
-    for d in 0..4 {
-        clients[d % 3].mkdir(&sdir(d), &cred, 0o755).unwrap();
-        acked.push(Acked::Mkdir(sdir(d)));
-    }
-    for i in 0..12 {
-        clients[(i / 3) % 3].create(&sfile(i), &cred, 0o644).unwrap();
-        acked.push(Acked::Create(sfile(i)));
-    }
-    drain(&region, &mut workers);
-
-    let plan = reshard_plan(seed);
-    let _trace = TraceOnPanic { plan: &plan, name: format!("reshard-storm-{seed}.trace") };
-    let mut rng = StdRng::seed_from_u64(seed ^ 0x2545f4914f6cdd1d);
-    let oracle_check = dfs.client();
-
-    let mut last_epoch = core.cache_cluster.ring_epoch();
-    while core.sim_ns() < STORM_END + STEP_NS {
-        core.advance(STEP_NS);
-        for ev in plan.advance_to(core.sim_ns()) {
-            region.apply_fault(ev);
-        }
-        let epoch = core.cache_cluster.ring_epoch();
-        assert!(epoch >= last_epoch, "ring epoch regressed: {last_epoch} -> {epoch}");
-        last_epoch = epoch;
-
-        // Background transfer: a bounded batch of keys per tick.
-        region.pump_reshard(rng.gen_range(1usize..8));
-
-        match rng.gen_range(0u32..9) {
-            0..=1 => {
-                let d = rng.gen_range(0usize..4);
-                if clients[d % 3].mkdir(&tdir(d), &cred, 0o755).is_ok() {
-                    acked.push(Acked::Mkdir(tdir(d)));
-                }
-            }
-            2..=5 => {
-                let i = rng.gen_range(0usize..12);
-                if clients[(i / 3) % 3].create(&tfile(i), &cred, 0o644).is_ok() {
-                    acked.push(Acked::Create(tfile(i)));
-                }
-            }
-            _ => {
-                let i = rng.gen_range(0usize..12);
-                if clients[(i / 3) % 3].unlink(&tfile(i), &cred).is_ok() {
-                    acked.push(Acked::Unlink(tfile(i)));
-                }
-            }
-        }
-
-        // Committed paths stay readable through any reshard state —
-        // migrating keys are double-read (new owner then old), crashed
-        // owners fall back to the DFS — and never go staler than the
-        // backup.
-        let p = sfile(rng.gen_range(0usize..12));
-        let st = clients[rng.gen_range(0usize..3)].stat(&p, &cred);
-        assert!(st.is_ok(), "stable path {p} unreadable mid-reshard: {st:?}");
-        let backup = oracle_check.stat(&p, &cred).expect("stable path on backup");
-        assert_eq!(st.unwrap().kind, backup.kind, "reshard read of {p} staler than backup");
-
-        step_all(&mut workers);
-    }
-    assert_eq!(plan.remaining(), 0, "storm events all applied");
-
-    // Heal: CrashDuringMigration picks its own victim, so restart
-    // whatever is still down rather than scripting it, then run any
-    // in-flight transfer to completion.
-    for n in 0..NODES {
-        if core.cache_cluster.node_status(NodeId(n)) == memkv::NodeStatus::Down {
-            region.apply_fault(FaultEvent::RestartCacheNode(NodeId(n)));
-        }
-    }
-    let mut spins = 0;
-    while core.cache_cluster.migration_active() {
-        region.pump_reshard(16);
-        spins += 1;
-        assert!(spins < 50_000, "migration never converged after the storm");
-    }
-    assert!(core.cache_cluster.ring_epoch() >= last_epoch, "teardown regressed the epoch");
-
-    recover(&region, &clients, &cred, &mut workers);
-    for c in &clients {
-        c.flush_publishes().unwrap();
-    }
-    drain(&region, &mut workers);
-    for c in &clients {
-        c.flush_publishes().unwrap();
-        assert_eq!(c.unacked_publishes(), 0, "redelivery window not empty after drain");
-    }
-
-    let oracle = oracle_dfs(&profile, &cred, &acked);
-    assert_matches_oracle(&dfs, &oracle, &cred);
-    assert_eq!(core.degraded.mode(), DegradedMode::Healthy);
-
-    // The storm is not vacuous: every plan schedules at least one
-    // membership change, and the report surfaces the reshard telemetry.
-    let report = region.report();
-    assert!(report.reshard_started > 0, "plan scheduled no reshard");
-    assert!(report.ring_epoch > 0, "membership churn left the epoch at zero");
-    let text = report.to_string();
-    assert!(text.contains("ring:"), "report lost the ring line:\n{text}");
 }
 
 /// Satellite audit: a mid-batch cache-node crash must not discard the
@@ -592,29 +430,20 @@ fn reshard_storm(seed: u64) {
 /// batch still returns Ok.
 #[test]
 fn multi_stat_survives_mid_batch_cache_crash() {
-    let profile = Arc::new(LatencyProfile::zero());
     let cred = Credentials::new(1, 1);
-    let dfs = DfsCluster::with_default_config(Arc::clone(&profile));
+    let dfs = DfsCluster::with_default_config(Arc::new(LatencyProfile::zero()));
     let config = PaconConfig::new("/w", Topology::new(NODES, 1), cred);
-    let region = PaconRegion::launch_paused(config, &dfs).unwrap();
-    let client = region.client(ClientId(0));
-    let mut workers: Vec<_> = (0..NODES as usize).map(|n| region.take_worker(n)).collect();
-    let core = region.core();
-
-    for d in 0..4 {
-        client.mkdir(&sdir(d), &cred, 0o755).unwrap();
-    }
-    let paths: Vec<String> = (0..12).map(sfile).collect();
-    for p in &paths {
-        client.create(p, &cred, 0o644).unwrap();
-    }
-    drain(&region, &mut workers);
+    let mut d = ScenarioDriver::launch(config, &dfs).unwrap();
+    stable_universe(&mut d, &cred).unwrap();
+    let paths = stable_files();
+    let client = &d.clients()[0];
+    let core = d.core();
     // Warm the cache so the batch is cache-resident, then crash one
     // owner mid-universe.
     for p in &paths {
         client.stat(p, &cred).unwrap();
     }
-    region.apply_fault(FaultEvent::CrashCacheNode(NodeId(1)));
+    d.region().apply_fault(FaultEvent::CrashCacheNode(NodeId(1)));
 
     let degraded_before = core.counters.get("degraded_reads");
     let stats = client.stat_many(&paths, &cred);
@@ -630,6 +459,86 @@ fn multi_stat_survives_mid_batch_cache_crash() {
         fell_through < paths.len() as u64,
         "every key fell through to the backup — healthy groups were discarded"
     );
+}
+
+/// Create two files in a one-node group-commit region (batches of two,
+/// so the second create flushes the batch into the queue) with the
+/// broker crashing before or after them; after the heal, flush and drain
+/// both acknowledged creates must be on the DFS.
+fn group_commit_across_broker_crash(crash_first: bool) {
+    let cred = Credentials::new(1, 1);
+    let dfs = DfsCluster::with_default_config(Arc::new(LatencyProfile::zero()));
+    let config = PaconConfig::new("/w", Topology::new(1, 1), cred).with_commit_batch(2);
+    let mut d = ScenarioDriver::launch(config, &dfs).unwrap();
+    let crash = || d.region().apply_fault(FaultEvent::CrashBroker(NodeId(0)));
+    if crash_first {
+        crash();
+    }
+    d.clients()[0].create("/w/a", &cred, 0o644).unwrap();
+    d.clients()[0].create("/w/b", &cred, 0o644).unwrap();
+    if !crash_first {
+        crash();
+    }
+    d.region().apply_fault(FaultEvent::HealCommitLink(NodeId(0)));
+    d.clients()[0].flush_publishes().unwrap();
+    d.drain().unwrap();
+    for p in ["/w/a", "/w/b"] {
+        let st = dfs.client().stat(p, &cred);
+        assert!(st.is_ok_and(|s| s.is_file()), "acknowledged {p} never reached the DFS");
+    }
+}
+
+/// Regression: a group-commit batch lost with the broker is resent after
+/// the heal, like any single-op publish — batch flushes ride the node's
+/// redelivery window.
+#[test]
+fn group_commit_batch_survives_broker_crash() {
+    group_commit_across_broker_crash(false);
+}
+
+/// Regression: a batch flushed into a severed link is buffered in the
+/// redelivery window (the create is acknowledged) and delivered on heal.
+#[test]
+fn group_commit_flush_into_severed_link_is_buffered() {
+    group_commit_across_broker_crash(true);
+}
+
+/// Degraded-mode rewarm: after a crashed cache node restarts cold, the
+/// first due probe moves the region to Rewarming, DFS loads are put back
+/// into the cache (`rewarm_keys`), and a streak of cache successes closes
+/// the window.
+#[test]
+fn restarted_node_rewarms_and_closes_the_degraded_window() {
+    let cred = Credentials::new(1, 1);
+    let dfs = DfsCluster::with_default_config(Arc::new(LatencyProfile::zero()));
+    let config = PaconConfig::new("/w", Topology::new(NODES, 1), cred);
+    let mut d = ScenarioDriver::launch(config, &dfs).unwrap();
+    let files: Vec<String> = (0..24).map(|i| format!("/w/f{i}")).collect();
+    for (i, p) in files.iter().enumerate() {
+        d.clients()[i % 3].create(p, &cred, 0o644).unwrap();
+    }
+    d.drain().unwrap();
+    let core = Arc::clone(d.core());
+    let on_node1: Vec<&String> =
+        files.iter().filter(|p| core.cache_cluster.shard_node(p.as_bytes()) == NodeId(1)).collect();
+    assert!(on_node1.len() >= 2, "need two node-1 paths, got {on_node1:?}");
+    let c = &d.clients()[0];
+
+    d.region().apply_fault(FaultEvent::CrashCacheNode(NodeId(1)));
+    assert!(c.stat(on_node1[0], &cred).unwrap().is_file(), "degraded read from the backup");
+    assert_eq!(core.degraded.mode(), DegradedMode::Degraded);
+
+    d.region().apply_fault(FaultEvent::RestartCacheNode(NodeId(1)));
+    core.advance(core.config.rpc_deadline + 1);
+    assert!(c.stat(on_node1[1], &cred).unwrap().is_file());
+    assert_eq!(core.degraded.mode(), DegradedMode::Rewarming);
+    assert_eq!(core.counters.get("rewarm_keys"), 1);
+
+    for p in &files {
+        c.stat(p, &cred).unwrap();
+    }
+    assert_eq!(core.degraded.mode(), DegradedMode::Healthy);
+    assert_eq!(core.counters.get("degraded_recoveries"), 1);
 }
 
 // ---- fixed seeds: the CI chaos job runs exactly these three ----------

@@ -6,7 +6,7 @@ use std::sync::Arc;
 
 use dfs::DfsCluster;
 use fsapi::{Credentials, FileSystem, FsError};
-use pacon::{PaconConfig, PaconRegion};
+use pacon::{PaconConfig, PaconRegion, ScenarioDriver};
 use simnet::{ClientId, LatencyProfile, Topology};
 
 fn setup() -> (Arc<DfsCluster>, Arc<PaconRegion>, Credentials) {
@@ -177,31 +177,21 @@ fn repeated_small_writes_coalesce_into_one_writeback() {
     let dfs = DfsCluster::with_default_config(profile);
     let cred = Credentials::new(1, 1);
     // Paused region: the queue holds everything, so coalescing is exact.
-    let region = PaconRegion::launch_paused(
-        PaconConfig::new("/app", Topology::new(1, 1), cred),
-        &dfs,
-    )
-    .unwrap();
-    let c = region.client(ClientId(0));
+    let config = PaconConfig::new("/app", Topology::new(1, 1), cred);
+    let mut d = ScenarioDriver::launch(config, &dfs).unwrap();
+    let c = &d.clients()[0];
     c.create("/app/hot", &cred, 0o644).unwrap();
     for i in 0..50u8 {
         c.write("/app/hot", &cred, 0, &[i; 16]).unwrap();
     }
-    let report = region.report();
     // 1 create + 1 writeback; the other 49 coalesced.
-    assert_eq!(report.ops_enqueued, 2);
-    assert_eq!(region.core().counters.get("writeback_coalesced"), 49);
+    assert_eq!(d.region().report().ops_enqueued, 2);
+    assert_eq!(d.core().counters.get("writeback_coalesced"), 49);
 
-    // Drain manually; the backup copy ends at the *newest* data.
-    let mut w = region.take_worker(0);
-    for _ in 0..1000 {
-        use pacon::commit::worker::WorkerStep;
-        if matches!(w.step(), WorkerStep::Idle | WorkerStep::Disconnected) {
-            break;
-        }
-    }
+    // Drain; the backup copy ends at the *newest* data.
+    d.drain().unwrap();
     assert_eq!(dfs.client().read("/app/hot", &cred, 0, 16).unwrap(), vec![49u8; 16]);
     // After the drain, a new write queues a fresh writeback.
-    c.write("/app/hot", &cred, 0, b"fresh").unwrap();
-    assert_eq!(region.report().ops_enqueued, 3);
+    d.clients()[0].write("/app/hot", &cred, 0, b"fresh").unwrap();
+    assert_eq!(d.region().report().ops_enqueued, 3);
 }

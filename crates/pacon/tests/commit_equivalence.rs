@@ -13,8 +13,7 @@ use std::sync::Arc;
 
 use dfs::DfsCluster;
 use fsapi::{Credentials, FileSystem, FsError};
-use pacon::commit::worker::WorkerStep;
-use pacon::{PaconConfig, PaconRegion};
+use pacon::{PaconConfig, PaconRegion, ScenarioDriver};
 use proptest::prelude::*;
 use simnet::{ClientId, LatencyProfile, Topology};
 
@@ -71,13 +70,12 @@ proptest! {
         // System under test: Pacon clients spread over 3 nodes, workers
         // stepped in a proptest-chosen interleaving.
         let dfs = DfsCluster::with_default_config(Arc::clone(&profile));
-        let region = PaconRegion::launch_paused(
+        let mut d = ScenarioDriver::launch(
             PaconConfig::new("/w", Topology::new(3, 1), cred),
             &dfs,
         ).unwrap();
-        let clients: Vec<_> = (0..3).map(|i| region.client(ClientId(i))).collect();
         for (n, s) in steps.iter().enumerate() {
-            let c = &clients[n % 3];
+            let c = &d.clients()[n % 3];
             let _ = match s {
                 Step::Mkdir(d) => c.mkdir(&dir_path(*d), &cred, 0o755),
                 Step::Create(i) => c.create(&file_path(i / 3, i % 3), &cred, 0o644),
@@ -85,25 +83,12 @@ proptest! {
             };
         }
 
-        let mut workers: Vec<_> = (0..3).map(|n| region.take_worker(n)).collect();
         // Follow the random schedule first...
         for &w in &schedule {
-            let _ = workers[w].step();
+            let _ = d.worker(w).step();
         }
         // ...then drain round-robin until everything is handled.
-        let mut spins = 0;
-        while !region.core().drained() {
-            let mut progress = false;
-            for w in workers.iter_mut() {
-                match w.step() {
-                    WorkerStep::Idle | WorkerStep::Disconnected | WorkerStep::Blocked(_) => {}
-                    _ => progress = true,
-                }
-            }
-            spins += 1;
-            prop_assert!(spins < 100_000, "commit did not converge");
-            let _ = progress;
-        }
+        prop_assert!(d.drain().is_ok(), "commit did not converge");
 
         // Final namespaces must be identical.
         let got = dfs.snapshot();
@@ -114,7 +99,7 @@ proptest! {
 
         // And the primary copy agrees with the reference for every path in
         // the universe.
-        let probe = region.client(ClientId(0));
+        let probe = &d.clients()[0];
         let ref_fs = ref_dfs.client();
         for d in 0..4 {
             for f in 0..3 {

@@ -19,7 +19,7 @@ bins=(
   read_path
   wal_commit
   qsim_scale
-  reshard
+  scenario
 )
 for b in "${bins[@]}"; do
   echo "=== $b ==="
