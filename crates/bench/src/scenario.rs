@@ -19,7 +19,7 @@ use std::sync::Arc;
 
 use fsapi::FileSystem;
 use pacon::region::RegionCore;
-use pacon::{DegradedMode, PaconConfig, ScenarioDriver};
+use pacon::{DegradedMode, PaconConfig, RegionReport, ScenarioDriver};
 use simnet::Topology;
 use simnet::{with_recording, FaultEvent, FaultPlan, LatencyHistogram, LatencyProfile, NodeId};
 
@@ -29,6 +29,8 @@ const NODES: u32 = 3;
 /// Virtual ns the driver advances per workload tick (well under the
 /// 8 ms RPC deadline / probe interval).
 const STEP_NS: u64 = 400_000;
+/// Worker rounds a drain may take to settle every published op.
+const DRAIN_ROUNDS: u32 = 2_000_000;
 /// Post-fault virtual throughput must reach this share of the baseline.
 pub const RECOVERY_BAR: f64 = 0.9;
 
@@ -46,15 +48,16 @@ pub struct Scenario {
     workload: &'static str,
     labels: [&'static str; 3],
     /// Counters reported per phase (as deltas).
-    phase_counters: [&'static str; 2],
+    phase_counters: fn(&RegionReport) -> [(&'static str, u64); 2],
     /// Counters reported for the whole run.
-    totals: &'static [&'static str],
+    totals: fn(&RegionReport) -> Vec<(&'static str, u64)>,
     /// Keys the background transfer moves per tick.
     pump: usize,
     /// Events at `num/den` of the window.
     events: &'static [(u64, u64, FaultEvent)],
-    /// Scenario-specific acceptance: the window exercised what it scripts.
-    check: fn(&Report, &RegionCore),
+    /// Scenario-specific acceptance, given the region's final report:
+    /// the window exercised what it scripts.
+    check: fn(&Report, &RegionReport, &RegionCore),
 }
 
 /// Cache node 1 and node 2's broker crash early; the broker heals at
@@ -64,15 +67,17 @@ pub const CHAOS: Scenario = Scenario {
     name: "chaos",
     workload: "3:1 stat:churn; cache-node crash + broker loss mid-window",
     labels: ["pre-fault", "fault window", "post-recovery"],
-    phase_counters: ["degraded_reads", "rpc_retries"],
-    totals: &[
-        "rpc_retries",
-        "degraded_reads",
-        "degraded_recoveries",
-        "degraded_window_ns",
-        "rewarm_keys",
-        "duplicate_drops",
-    ],
+    phase_counters: |r| [("degraded_reads", r.degraded_reads), ("rpc_retries", r.rpc_retries)],
+    totals: |r| {
+        vec![
+            ("rpc_retries", r.rpc_retries),
+            ("degraded_reads", r.degraded_reads),
+            ("degraded_recoveries", r.degraded_recoveries),
+            ("degraded_window_ns", r.degraded_window_ns),
+            ("rewarm_keys", r.rewarm_keys),
+            ("duplicate_drops", r.duplicate_drops),
+        ]
+    },
     pump: 0,
     events: &[
         (1, 10, FaultEvent::CrashCacheNode(NodeId(1))),
@@ -81,13 +86,13 @@ pub const CHAOS: Scenario = Scenario {
         (8, 10, FaultEvent::HealCommitLink(NodeId(2))),
         (97, 100, FaultEvent::RestartCacheNode(NodeId(1))),
     ],
-    check: |r, core| {
-        let [degraded, retries] = r.phases[1].counters;
+    check: |r, end, core| {
+        let [(_, degraded), (_, retries)] = r.phases[1].counters;
         assert!(retries > 0, "no RPC retries despite a cache crash");
         assert!(degraded > 0, "no degraded reads despite a cache crash");
-        assert!(counter(core, "degraded_recoveries") > 0, "degraded window never closed");
+        assert!(end.degraded_recoveries > 0, "degraded window never closed");
         assert_eq!(core.degraded.mode(), DegradedMode::Healthy);
-        assert_eq!(r.phases[2].counters[0], 0, "post-recovery reads still degraded");
+        assert_eq!(r.phases[2].counters[0].1, 0, "post-recovery reads still degraded");
     },
 };
 
@@ -97,14 +102,18 @@ pub const RESHARD: Scenario = Scenario {
     name: "reshard",
     workload: "3:1 stat:churn; two live leave/join cycles mid-window",
     labels: ["quiescent", "live reshard", "post-reshard"],
-    phase_counters: ["keys_migrated", "wrong_epoch_retries"],
-    totals: &[
-        "ring_epoch",
-        "reshard_started",
-        "keys_migrated",
-        "wrong_epoch_retries",
-        "migration_aborts",
-    ],
+    phase_counters: |r| {
+        [("keys_migrated", r.keys_migrated), ("wrong_epoch_retries", r.wrong_epoch_retries)]
+    },
+    totals: |r| {
+        vec![
+            ("ring_epoch", r.ring_epoch),
+            ("reshard_started", r.reshard_started),
+            ("keys_migrated", r.keys_migrated),
+            ("wrong_epoch_retries", r.wrong_epoch_retries),
+            ("migration_aborts", r.migration_aborts),
+        ]
+    },
     pump: 4,
     events: &[
         (1, 10, FaultEvent::LeaveNode(NodeId(2))),
@@ -112,32 +121,14 @@ pub const RESHARD: Scenario = Scenario {
         (5, 10, FaultEvent::LeaveNode(NodeId(1))),
         (7, 10, FaultEvent::JoinNode(NodeId(1))),
     ],
-    check: |r, core| {
-        assert!(counter(core, "reshard_started") >= 4, "all four membership events must start");
-        assert!(r.phases[1].counters[0] > 0, "no keys moved during the reshard window");
+    check: |r, end, core| {
+        assert!(end.reshard_started >= 4, "all four membership events must start");
+        assert!(r.phases[1].counters[0].1 > 0, "no keys moved during the reshard window");
         assert_eq!(core.cache_cluster.members().len(), NODES as usize, "ring must end full");
     },
 };
 
 pub const ALL: [&Scenario; 2] = [&CHAOS, &RESHARD];
-
-/// A named region counter (the names of `RegionReport`'s fields).
-fn counter(core: &RegionCore, name: &str) -> u64 {
-    let reshard = core.cache_cluster.reshard_stats();
-    match name {
-        "ring_epoch" => core.cache_cluster.ring_epoch(),
-        "reshard_started" => reshard.reshard_started,
-        "keys_migrated" => reshard.keys_migrated,
-        "migration_aborts" => reshard.migration_aborts + reshard.forced_completes,
-        "degraded_window_ns" => core.degraded.window_ns(core.sim_ns()),
-        _ => core.counters.get(name),
-    }
-}
-
-/// Virtual latency columns of a phase: mean, p50, p99, p999 and the
-/// retry backoff slept on the region clock (ns).
-const CELLS: [&str; 5] =
-    ["vlat_mean_ns", "vlat_p50_ns", "vlat_p99_ns", "vlat_p999_ns", "backoff_ns"];
 
 /// One measured phase, in virtual time.
 pub struct Phase {
@@ -145,10 +136,14 @@ pub struct Phase {
     /// Throughput of one uncontended closed-loop client: ops over summed
     /// per-op virtual latency.
     pub vops_per_sec: f64,
-    /// Values of [`CELLS`].
-    pub cells: [u64; 5],
+    pub vlat_mean_ns: u64,
+    pub vlat_p50_ns: u64,
+    pub vlat_p99_ns: u64,
+    pub vlat_p999_ns: u64,
+    /// Retry backoff slept on the region clock.
+    pub backoff_ns: u64,
     /// Deltas of the scenario's per-phase counters.
-    pub counters: [u64; 2],
+    pub counters: [(&'static str, u64); 2],
 }
 
 /// Drive `items` ticks of the mixed workload under `plan`.
@@ -160,7 +155,7 @@ fn run_phase(
     plan: &FaultPlan,
 ) -> Phase {
     let core = Arc::clone(d.core());
-    let before = s.phase_counters.map(|n| counter(&core, n));
+    let before = (s.phase_counters)(&d.region().report());
     let (mut vlat_ns, mut backoff_ns, mut hist) = (0, 0, LatencyHistogram::new());
     for i in 0..items as usize {
         d.tick(STEP_NS, plan, s.pump).unwrap_or_else(|e| panic!("[{label}] tick: {e:?}"));
@@ -189,15 +184,19 @@ fn run_phase(
         hist.record(lat);
         d.step_workers();
     }
-    let mut counters = s.phase_counters.map(|n| counter(&core, n));
-    for (c, b) in counters.iter_mut().zip(before) {
+    let mut counters = (s.phase_counters)(&d.region().report());
+    for ((_, c), (_, b)) in counters.iter_mut().zip(before) {
         *c -= b;
     }
     let q = |q: f64| hist.percentile(q).unwrap_or(0);
     Phase {
         label,
         vops_per_sec: items as f64 * 1e9 / vlat_ns.max(1) as f64,
-        cells: [vlat_ns / items.max(1) as u64, q(0.50), q(0.99), q(0.999), backoff_ns],
+        vlat_mean_ns: vlat_ns / items.max(1) as u64,
+        vlat_p50_ns: q(0.50),
+        vlat_p99_ns: q(0.99),
+        vlat_p999_ns: q(0.999),
+        backoff_ns,
         counters,
     }
 }
@@ -233,7 +232,7 @@ pub fn run(s: &'static Scenario, items: u32) -> Report {
     for (i, p) in stable.iter().enumerate() {
         d.clients()[i % 3].create(p, &CRED, 0o644).expect("create stable");
     }
-    d.drain().expect("commit the stable universe");
+    d.drain(DRAIN_ROUNDS).expect("commit the stable universe");
 
     let [pre_label, mid_label, post_label] = s.labels;
     let pre = run_phase(s, pre_label, items, &mut d, &FaultPlan::empty());
@@ -243,19 +242,19 @@ pub fn run(s: &'static Scenario, items: u32) -> Report {
     );
     let mid = run_phase(s, mid_label, items, &mut d, &plan);
     assert_eq!(plan.remaining(), 0, "fault script fully applied");
-    d.settle(&stable).expect("settle after the fault window");
+    d.settle(&stable, DRAIN_ROUNDS).expect("settle after the fault window");
     let post = run_phase(s, post_label, items, &mut d, &FaultPlan::empty());
 
-    let core = d.core();
+    let end = d.region().report();
     let recovery_ratio = post.vops_per_sec / pre.vops_per_sec;
     let report = Report {
         scenario: s,
         items,
-        totals: s.totals.iter().map(|&n| (n, counter(core, n))).collect(),
+        totals: (s.totals)(&end),
         phases: [pre, mid, post],
         recovery_ratio,
     };
-    (s.check)(&report, core);
+    (s.check)(&report, &end, d.core());
     // The recovered region must carry no permanent drag.
     assert!(
         recovery_ratio >= RECOVERY_BAR,
@@ -269,23 +268,28 @@ impl Report {
     /// workspace).
     pub fn to_json(&self) -> String {
         let s = self.scenario;
-        let fields = |names: &[&str], values: &[u64]| -> String {
-            names.iter().zip(values).map(|(k, v)| format!(", \"{k}\": {v}")).collect()
+        let fields = |counters: &[(&str, u64)]| -> Vec<String> {
+            counters.iter().map(|(k, v)| format!("\"{k}\": {v}")).collect()
         };
         let phases: Vec<String> = self
             .phases
             .iter()
             .map(|ph| {
                 format!(
-                    "    {{ \"phase\": \"{}\", \"vops_per_sec\": {:.1}{}{} }}",
+                    "    {{ \"phase\": \"{}\", \"vops_per_sec\": {:.1}, \"vlat_mean_ns\": {}, \
+                     \"vlat_p50_ns\": {}, \"vlat_p99_ns\": {}, \"vlat_p999_ns\": {}, \
+                     \"backoff_ns\": {}, {} }}",
                     ph.label,
                     ph.vops_per_sec,
-                    fields(&CELLS, &ph.cells),
-                    fields(&s.phase_counters, &ph.counters),
+                    ph.vlat_mean_ns,
+                    ph.vlat_p50_ns,
+                    ph.vlat_p99_ns,
+                    ph.vlat_p999_ns,
+                    ph.backoff_ns,
+                    fields(&ph.counters).join(", "),
                 )
             })
             .collect();
-        let (names, values): (Vec<&str>, Vec<u64>) = self.totals.iter().copied().unzip();
         format!(
             "{{\n  \"bench\": \"{}\",\n  \"clock\": \"virtual\",\n  \"workload\": \"{}\",\n  \
              \"items_per_phase\": {},\n  \"phases\": [\n{}\n  ],\n  \"totals\": {{ {} }},\n  \
@@ -294,7 +298,7 @@ impl Report {
             s.workload,
             self.items,
             phases.join(",\n"),
-            &fields(&names, &values)[2..],
+            fields(&self.totals).join(", "),
             self.recovery_ratio,
         )
     }

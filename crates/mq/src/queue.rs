@@ -195,11 +195,6 @@ impl<T> Publisher<T> {
         self.shared.state.lock().severed = false;
     }
 
-    /// Is the broker link currently severed?
-    pub fn is_severed(&self) -> bool {
-        self.shared.state.lock().severed
-    }
-
     /// Arm scripted message duplication: the next `n` messages enqueued
     /// through [`send_seq`](Self::send_seq) are delivered twice
     /// (back-to-back), modelling a fault-plane duplicated send.
@@ -516,14 +511,14 @@ mod tests {
         let (tx, rx) = push_pull::<u32>(4);
         tx.send(1).unwrap();
         assert_eq!(tx.sever(), 1, "one buffered message wiped");
-        assert!(tx.is_severed());
+        assert!(tx.link_view().severed);
         assert_eq!(tx.send(2), Err(2));
         assert_eq!(tx.try_send(3), Err(3));
         assert_eq!(tx.send_seq(&4), Err(SendFault::Severed));
         // Consumers see an empty-but-connected queue while severed.
         assert_eq!(rx.try_recv(), Err(TryRecvError::Empty));
         tx.heal();
-        assert!(!tx.is_severed());
+        assert!(!tx.link_view().severed);
         tx.send(5).unwrap();
         assert_eq!(rx.recv().unwrap(), 5);
     }

@@ -24,7 +24,7 @@ use std::collections::VecDeque;
 
 use syncguard::{level, Mutex};
 
-use crate::queue::{LinkView, Publisher, SendFault};
+use crate::queue::{Publisher, SendFault};
 
 /// Every consumer of the queue is gone for good — the publish cannot ever
 /// be delivered (normal at shutdown).
@@ -90,26 +90,18 @@ impl<T: Clone> ReliablePublisher<T> {
         self.window.lock().len()
     }
 
-    /// Drop the provably consumed prefix of the window, without sending.
-    /// Touches only the records it drops; the consumer side calls it
-    /// after each receive so consumed messages are not kept alive until
-    /// the next publish.
-    pub fn trim(&self) {
+    /// Is some message waiting to be (re)sent — never delivered, or
+    /// delivered and provably lost with the broker? Never blocks and never
+    /// sends, so the queue's consumer may ask. `None` while a publisher
+    /// holds the window: it may be sending, and may block on a full queue
+    /// that only the consumer can drain.
+    pub fn try_has_undelivered(&self) -> Option<bool> {
+        let window = self.window.try_lock()?;
         let view = self.inner.link_view();
-        Self::drop_consumed(&view, &mut self.window.lock());
-    }
-
-    /// Sequences ascend along the window, so consumed records can only
-    /// form a prefix.
-    fn drop_consumed(view: &LinkView, window: &mut VecDeque<Record<T>>) {
-        while let Some(rec) = window.front() {
-            match rec.seq {
-                Some(seq) if seq < view.received && !view.lost(seq) => {
-                    window.pop_front();
-                }
-                _ => break,
-            }
-        }
+        Some(window.iter().any(|rec| match rec.seq {
+            None => true,
+            Some(seq) => seq < view.received && view.lost(seq),
+        }))
     }
 
     fn settle(
@@ -118,8 +110,16 @@ impl<T: Clone> ReliablePublisher<T> {
     ) -> Result<FlushOutcome, Disconnected> {
         let view = inner.link_view();
         // Classification pass: drop the consumed prefix, demote lost
-        // records back to undelivered.
-        Self::drop_consumed(&view, window);
+        // records back to undelivered. Sequences ascend along the window,
+        // so consumed records can only form a prefix.
+        while let Some(rec) = window.front() {
+            match rec.seq {
+                Some(seq) if seq < view.received && !view.lost(seq) => {
+                    window.pop_front();
+                }
+                _ => break,
+            }
+        }
         for rec in window.iter_mut() {
             if matches!(rec.seq, Some(seq) if seq < view.received && view.lost(seq)) {
                 rec.seq = None;
@@ -257,24 +257,39 @@ mod tests {
     }
 
     #[test]
-    fn trim_drops_only_the_consumed_prefix() {
-        let (tx, rx) = push_pull::<u32>(16);
+    fn consumer_never_waits_on_a_publisher_flushing_into_a_full_queue() {
+        let (tx, rx) = push_pull::<u32>(4);
         let rp = ReliablePublisher::new(tx);
-        for i in 0..3 {
+        rp.inner().sever();
+        for i in 0..20 {
             rp.publish(i).unwrap();
         }
-        assert_eq!(rx.recv().unwrap(), 0);
-        rp.trim();
-        assert_eq!(rp.unacked(), 2, "1 and 2 are still at the broker");
-        rp.inner().sever();
-        rp.trim();
-        assert_eq!(rp.unacked(), 2, "lost records stay for redelivery");
+        assert_eq!(rp.try_has_undelivered(), Some(true));
         rp.inner().heal();
+        let got = std::thread::scope(|s| {
+            let consumer = s.spawn(|| {
+                let mut got = Vec::new();
+                while got.len() < 20 {
+                    // Polled on every step, as a commit worker would: it
+                    // must return even while the flush below holds the
+                    // window, blocked on the full queue.
+                    let _ = rp.try_has_undelivered();
+                    match rx.try_recv() {
+                        Ok(v) => got.push(v),
+                        Err(_) => std::thread::yield_now(),
+                    }
+                }
+                got
+            });
+            // Five times the queue's capacity: the flush blocks until the
+            // consumer drains the queue.
+            assert_eq!(rp.flush().unwrap().delivered, 20);
+            consumer.join().unwrap()
+        });
+        assert_eq!(got, (0..20).collect::<Vec<_>>());
         rp.flush().unwrap();
-        assert_eq!(rx.recv().unwrap(), 1);
-        assert_eq!(rx.recv().unwrap(), 2);
-        rp.trim();
         assert_eq!(rp.unacked(), 0);
+        assert_eq!(rp.try_has_undelivered(), Some(false));
     }
 
     #[test]

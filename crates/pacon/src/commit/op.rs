@@ -20,9 +20,7 @@ pub enum CommitOp {
     /// publish order. Each inner message keeps its own client, epoch and
     /// timestamp (they may straddle a coalescing window); inner ops are
     /// always single ops — batches never nest and never carry barriers.
-    /// Shared, so the redelivery window's copy of an in-flight batch
-    /// costs a reference count, not a second batch.
-    Batch(std::sync::Arc<Vec<QueueMsg>>),
+    Batch(Vec<QueueMsg>),
 }
 
 impl CommitOp {

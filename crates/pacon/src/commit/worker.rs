@@ -29,7 +29,7 @@ use std::sync::Arc;
 use dfs::{BatchOp, DfsClient};
 use fsapi::{path as fspath, FsError, FsResult};
 use fsapi::FileSystem;
-use mq::{Consumer, ReliablePublisher, TryRecvError};
+use mq::{Consumer, TryRecvError};
 use simnet::{charge, NodeId, Station};
 
 use crate::cache::MetaCache;
@@ -189,9 +189,6 @@ impl CommitWorker {
         // retry backlog.
         match self.consumer.try_recv() {
             Ok(msg) => {
-                // The message is consumed: release the redelivery
-                // window's copy now rather than at the next publish.
-                ReliablePublisher::trim(&self.core.queues[self.node.0 as usize]);
                 if self.is_duplicate(&msg) {
                     self.core.counters.incr("duplicate_drops");
                     return WorkerStep::Retried;
@@ -204,7 +201,7 @@ impl CommitWorker {
                         // Re-enter immediately on the next step to flush.
                         WorkerStep::Retried
                     }
-                    CommitOp::Batch(inner) => self.apply_batch(Arc::unwrap_or_clone(inner)),
+                    CommitOp::Batch(inner) => self.apply_batch(inner),
                     _ => self.apply(msg, 0, false),
                 }
             }
@@ -225,23 +222,22 @@ impl CommitWorker {
     /// consumed, so buffered ops are the newest and applying them
     /// directly preserves per-node FIFO order. A batch the broker lost,
     /// or one waiting for a severed link to heal, is older than anything
-    /// in the buffer: it is redelivered (or waited for) first.
+    /// in the buffer: the next publish or flush resends it first.
+    ///
+    /// Both locks are only tried: a publisher holding either may be
+    /// blocked sending into this worker's full queue, so waiting for it
+    /// would deadlock. A busy lock just defers the pull to a later step.
     fn pull_publish_buffer(&mut self) -> Option<WorkerStep> {
         if self.core.config.commit_batch_size <= 1 {
             return None;
         }
         let node = self.node.0 as usize;
-        if self.core.publish_bufs[node].lock().is_empty() {
+        let mut buf = self.core.publish_bufs[node].try_lock()?;
+        if buf.is_empty() || self.core.queues[node].try_has_undelivered() != Some(false) {
             return None;
         }
-        match ReliablePublisher::flush(&self.core.queues[node]) {
-            Ok(out) if out.delivered == 0 && out.pending == 0 => {}
-            _ => return None,
-        }
-        let batch = self.core.publish_bufs[node].lock().take_all();
-        if batch.is_empty() {
-            return None;
-        }
+        let batch = buf.take_all();
+        drop(buf);
         self.stuck_retries = 0;
         self.charge_dispatch();
         if batch.len() == 1 {

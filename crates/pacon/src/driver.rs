@@ -20,13 +20,12 @@ use crate::degraded::Mode;
 use crate::region::{PaconRegion, RegionCore};
 use crate::PaconClient;
 
-/// Worker rounds [`ScenarioDriver::drain`] may spin.
-const DRAIN_SPINS: u32 = 500_000;
-/// Probe rounds [`ScenarioDriver::recover`] may take.
-const RECOVER_ROUNDS: u32 = 64;
+/// Probe rounds [`ScenarioDriver::recover`] may take: the region must be
+/// Healthy before the 64th.
+const RECOVER_ROUNDS: usize = 64;
 /// Pump calls of 16 keys [`ScenarioDriver::settle`] may take to finish
 /// a migration.
-const MIGRATION_SPINS: u32 = 100_000;
+const MIGRATION_SPINS: u32 = 50_000;
 
 /// A paused region driven tick by tick from one thread.
 pub struct ScenarioDriver {
@@ -73,15 +72,16 @@ impl ScenarioDriver {
         }
     }
 
-    /// Step the workers until every published op has settled.
-    pub fn drain(&mut self) -> FsResult<()> {
-        let mut spins = 0;
+    /// Step the workers until every published op has settled, in fewer
+    /// than `max_rounds` rounds.
+    pub fn drain(&mut self, max_rounds: u32) -> FsResult<()> {
+        let mut rounds = 0;
         while !self.core().drained() {
-            spins += 1;
-            if spins > DRAIN_SPINS {
+            self.step_workers();
+            rounds += 1;
+            if rounds >= max_rounds {
                 return Err(FsError::Backend("commit pipeline did not converge".into()));
             }
-            self.step_workers();
         }
         Ok(())
     }
@@ -110,31 +110,34 @@ impl ScenarioDriver {
     }
 
     /// Pull the degraded-mode state machine back to Healthy: each round
-    /// lets the recovery probe fall due, stats every (committed, so
-    /// always readable) path in `probe` and steps the workers.
+    /// lets the recovery probe fall due, stats the next (committed, so
+    /// always readable) path of `probe` in turn and steps the workers.
     fn recover(&mut self, probe: &[String]) -> FsResult<()> {
         let cred = self.core().config.cred;
-        let mut rounds = 0;
+        let mut paths = probe.iter().cycle();
+        let mut round = 0;
         while self.core().degraded.mode() != Mode::Healthy {
-            rounds += 1;
-            if rounds > RECOVER_ROUNDS {
+            let p = paths.next().ok_or_else(|| {
+                FsError::Backend("region is not Healthy and has no probe path".into())
+            })?;
+            self.core().advance(self.core().config.rpc_deadline + 1);
+            let st = self.clients[round % self.clients.len()].stat(p, &cred);
+            st.map_err(|e| FsError::Backend(format!("{p} unreadable during recovery: {e:?}")))?;
+            self.step_workers();
+            round += 1;
+            if round >= RECOVER_ROUNDS {
                 return Err(FsError::Backend("region never recovered to Healthy".into()));
             }
-            self.core().advance(self.core().config.rpc_deadline + 1);
-            for (i, p) in probe.iter().enumerate() {
-                let st = self.clients[i % self.clients.len()].stat(p, &cred);
-                st.map_err(|e| FsError::Backend(format!("{p} unreadable during recovery: {e:?}")))?;
-            }
-            self.step_workers();
         }
         Ok(())
     }
 
     /// Bring the region to rest: restart every cache node still down,
     /// finish any migration, [`recover`](Self::recover) with `probe`,
-    /// then flush the redelivery windows, drain, and flush again — after
-    /// which every acknowledged op must be provably consumed.
-    pub fn settle(&mut self, probe: &[String]) -> FsResult<()> {
+    /// then flush the redelivery windows, [`drain`](Self::drain) within
+    /// `drain_rounds`, and flush again — after which every acknowledged
+    /// op must be provably consumed.
+    pub fn settle(&mut self, probe: &[String], drain_rounds: u32) -> FsResult<()> {
         for n in (0..self.clients.len() as u32).map(NodeId) {
             if self.core().cache_cluster.node_status(n) == memkv::NodeStatus::Down {
                 self.region.apply_fault(FaultEvent::RestartCacheNode(n));
@@ -142,18 +145,18 @@ impl ScenarioDriver {
         }
         let mut spins = 0;
         while self.core().cache_cluster.migration_active() {
+            self.region.pump_reshard(16);
             spins += 1;
-            if spins > MIGRATION_SPINS {
+            if spins >= MIGRATION_SPINS {
                 return Err(FsError::Backend("migration never converged".into()));
             }
-            self.region.pump_reshard(16);
         }
         self.check_epoch()?;
         self.recover(probe)?;
         for c in &self.clients {
             c.flush_publishes()?;
         }
-        self.drain()?;
+        self.drain(drain_rounds)?;
         for c in &self.clients {
             // The second flush reconciles each window against the drained
             // broker: everything must now be provably consumed.

@@ -387,7 +387,7 @@ impl RegionCore {
             self.counters.incr("batches_flushed");
             self.counters.add("batched_ops", batch.len() as u64);
             QueueMsg {
-                op: CommitOp::Batch(Arc::new(batch)),
+                op: CommitOp::Batch(batch),
                 client: u32::MAX,
                 epoch: self.board.current_epoch(),
                 timestamp: self.now(),

@@ -86,8 +86,12 @@ pub struct RegionReport {
     /// Total virtual ns spent outside Healthy (closed windows plus the
     /// one still open, if any).
     pub degraded_window_ns: u64,
+    /// Degraded windows closed by a recovery back to Healthy.
+    pub degraded_recoveries: u64,
     /// Keys re-populated into the cache from DFS loads during recovery.
     pub rewarm_keys: u64,
+    /// Duplicated commit-queue deliveries the workers dropped.
+    pub duplicate_drops: u64,
     /// Cache-ring epoch: bumped on every membership event (crash,
     /// restart, migration begin/complete/abort). Monotonic.
     pub ring_epoch: u64,
@@ -251,7 +255,9 @@ impl PaconRegion {
             rpc_retries: core.counters.get("rpc_retries"),
             degraded_reads: core.counters.get("degraded_reads"),
             degraded_window_ns: core.degraded.window_ns(core.sim_ns()),
+            degraded_recoveries: core.counters.get("degraded_recoveries"),
             rewarm_keys: core.counters.get("rewarm_keys"),
+            duplicate_drops: core.counters.get("duplicate_drops"),
             ring_epoch: core.cache_cluster.ring_epoch(),
             reshard_started: reshard.reshard_started,
             keys_migrated: reshard.keys_migrated,
@@ -314,7 +320,7 @@ mod tests {
         for i in 0..40 {
             d.clients()[0].create(&format!("/app/f{i}"), &cred, 0o644).unwrap();
         }
-        d.drain().unwrap();
+        d.drain(10_000).unwrap();
 
         let r = d.region().report();
         assert_eq!(r.committed, 40);

@@ -40,6 +40,8 @@ const STEP_NS: u64 = 400_000;
 const STORM_START: u64 = 10_000_000;
 const STORM_END: u64 = 250_000_000;
 const STORM_ROUNDS: u32 = 6;
+/// Worker rounds a drain may take to settle every published op.
+const DRAIN_ROUNDS: u32 = 500_000;
 
 /// Stable universe: committed before the storm, stat'd throughout it.
 fn sdir(d: usize) -> String {
@@ -102,7 +104,7 @@ fn stable_universe(d: &mut ScenarioDriver, cred: &Credentials) -> FsResult<Vec<A
         clients[(i / 3) % 3].create(&sfile(i), cred, 0o644)?;
         acked.push(Acked::Create(sfile(i)));
     }
-    d.drain()?;
+    d.drain(DRAIN_ROUNDS)?;
     Ok(acked)
 }
 
@@ -242,7 +244,7 @@ fn namespace_storm(seed: u64, reshard: bool) {
     // the driver restarts whatever is still down, runs any in-flight
     // transfer to completion (the epoch must not regress), re-warms the
     // cache, flushes the redelivery windows and drains the queues.
-    d.settle(&stable_files()).unwrap();
+    d.settle(&stable_files(), DRAIN_ROUNDS).unwrap();
 
     // No acknowledged update lost: backup namespace == oracle namespace.
     let oracle = oracle_dfs(&profile, &cred, &acked);
@@ -368,7 +370,7 @@ fn link_storm_with_writes(seed: u64) -> FsResult<()> {
 
     // Links are healed: flush every redelivery window, then drain. The
     // cache never went down, so there is nothing to probe.
-    d.settle(&[])?;
+    d.settle(&[], DRAIN_ROUNDS)?;
 
     let oracle = oracle_dfs(&profile, &cred, &acked);
     assert_matches_oracle(&dfs, &oracle, &cred);
@@ -481,7 +483,7 @@ fn group_commit_across_broker_crash(crash_first: bool) {
     }
     d.region().apply_fault(FaultEvent::HealCommitLink(NodeId(0)));
     d.clients()[0].flush_publishes().unwrap();
-    d.drain().unwrap();
+    d.drain(DRAIN_ROUNDS).unwrap();
     for p in ["/w/a", "/w/b"] {
         let st = dfs.client().stat(p, &cred);
         assert!(st.is_ok_and(|s| s.is_file()), "acknowledged {p} never reached the DFS");
@@ -517,7 +519,7 @@ fn restarted_node_rewarms_and_closes_the_degraded_window() {
     for (i, p) in files.iter().enumerate() {
         d.clients()[i % 3].create(p, &cred, 0o644).unwrap();
     }
-    d.drain().unwrap();
+    d.drain(DRAIN_ROUNDS).unwrap();
     let core = Arc::clone(d.core());
     let on_node1: Vec<&String> =
         files.iter().filter(|p| core.cache_cluster.shard_node(p.as_bytes()) == NodeId(1)).collect();

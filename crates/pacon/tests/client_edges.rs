@@ -189,7 +189,7 @@ fn repeated_small_writes_coalesce_into_one_writeback() {
     assert_eq!(d.core().counters.get("writeback_coalesced"), 49);
 
     // Drain; the backup copy ends at the *newest* data.
-    d.drain().unwrap();
+    d.drain(1_000).unwrap();
     assert_eq!(dfs.client().read("/app/hot", &cred, 0, 16).unwrap(), vec![49u8; 16]);
     // After the drain, a new write queues a fresh writeback.
     d.clients()[0].write("/app/hot", &cred, 0, b"fresh").unwrap();

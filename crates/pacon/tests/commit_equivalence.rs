@@ -88,7 +88,7 @@ proptest! {
             let _ = d.worker(w).step();
         }
         // ...then drain round-robin until everything is handled.
-        prop_assert!(d.drain().is_ok(), "commit did not converge");
+        prop_assert!(d.drain(100_000).is_ok(), "commit did not converge");
 
         // Final namespaces must be identical.
         let got = dfs.snapshot();

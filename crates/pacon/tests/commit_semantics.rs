@@ -8,16 +8,21 @@ use std::sync::Arc;
 use dfs::DfsCluster;
 use fsapi::{Credentials, FileSystem, FsError};
 use pacon::commit::worker::{CommitWorker, WorkerStep};
-use pacon::{PaconConfig, PaconRegion};
-use simnet::{ClientId, LatencyProfile, Topology};
+use pacon::{PaconConfig, ScenarioDriver};
+use simnet::{LatencyProfile, Topology};
 
-fn setup(nodes: u32) -> (Arc<DfsCluster>, Arc<PaconRegion>, Credentials) {
-    let profile = Arc::new(LatencyProfile::zero());
-    let dfs = DfsCluster::with_default_config(profile);
+/// A paused `nodes`-node region on a fresh DFS; client and worker `n`
+/// belong to node `n`.
+fn setup(nodes: u32) -> (Arc<DfsCluster>, ScenarioDriver, Credentials) {
     let cred = Credentials::new(1, 1);
     let config = PaconConfig::new("/w", Topology::new(nodes, 1), cred);
-    let region = PaconRegion::launch_paused(config, &dfs).unwrap();
-    (dfs, region, cred)
+    launch(config)
+}
+
+fn launch(config: PaconConfig) -> (Arc<DfsCluster>, ScenarioDriver, Credentials) {
+    let dfs = DfsCluster::with_default_config(Arc::new(LatencyProfile::zero()));
+    let cred = config.cred;
+    (Arc::clone(&dfs), ScenarioDriver::launch(config, &dfs).unwrap(), cred)
 }
 
 /// Step a worker until it stops making progress (no commit/discard for a
@@ -44,69 +49,58 @@ fn drain(worker: &mut CommitWorker) -> Vec<WorkerStep> {
 
 #[test]
 fn child_before_parent_resubmits_until_success() {
-    let (dfs, region, cred) = setup(2);
+    let (dfs, mut d, cred) = setup(2);
     // Parent mkdir goes to node 1's queue, child create to node 0's.
-    let c0 = region.client(ClientId(0));
-    let c1 = region.client(ClientId(1));
-    c1.mkdir("/w/dir", &cred, 0o755).unwrap();
-    c0.create("/w/dir/child", &cred, 0o644).unwrap();
-
-    let mut w0 = region.take_worker(0);
-    let mut w1 = region.take_worker(1);
+    d.clients()[1].mkdir("/w/dir", &cred, 0o755).unwrap();
+    d.clients()[0].create("/w/dir/child", &cred, 0o644).unwrap();
 
     // Worker 0 tries the child first: parent missing on the DFS → retry.
-    let log = drain(&mut w0);
+    let log = drain(d.worker(0));
     assert!(log.contains(&WorkerStep::Retried), "child commit must be resubmitted");
     assert_eq!(dfs.client().stat("/w/dir/child", &cred), Err(FsError::NotFound));
 
     // Worker 1 commits the parent.
-    let log = drain(&mut w1);
+    let log = drain(d.worker(1));
     assert!(log.contains(&WorkerStep::Committed));
     assert!(dfs.client().stat("/w/dir", &cred).unwrap().is_dir());
 
     // Worker 0's retry now succeeds.
-    let log = drain(&mut w0);
+    let log = drain(d.worker(0));
     assert!(log.contains(&WorkerStep::Committed));
     assert!(dfs.client().stat("/w/dir/child", &cred).unwrap().is_file());
-    assert!(region.core().drained());
-    assert!(region.core().counters.get("resubmitted") >= 1);
+    assert!(d.core().drained());
+    assert!(d.core().counters.get("resubmitted") >= 1);
 }
 
 #[test]
 fn unlink_before_create_converges() {
-    let (dfs, region, cred) = setup(2);
-    let c0 = region.client(ClientId(0));
-    let c1 = region.client(ClientId(1));
+    let (dfs, mut d, cred) = setup(2);
     // create lands on node 0's queue; the unlink (issued later by node 1's
     // client) lands on node 1's queue. Drive the unlink first.
-    c0.create("/w/tmp", &cred, 0o644).unwrap();
-    c1.unlink("/w/tmp", &cred).unwrap();
-
-    let mut w0 = region.take_worker(0);
-    let mut w1 = region.take_worker(1);
+    d.clients()[0].create("/w/tmp", &cred, 0o644).unwrap();
+    d.clients()[1].unlink("/w/tmp", &cred).unwrap();
 
     // Unlink first: file not on the DFS yet → resubmitted.
-    let log = drain(&mut w1);
+    let log = drain(d.worker(1));
     assert!(log.contains(&WorkerStep::Retried));
     // Create commits.
-    drain(&mut w0);
+    drain(d.worker(0));
     assert!(dfs.client().stat("/w/tmp", &cred).unwrap().is_file());
     // Unlink retry now applies; final state: gone.
-    drain(&mut w1);
+    drain(d.worker(1));
     assert_eq!(dfs.client().stat("/w/tmp", &cred), Err(FsError::NotFound));
-    assert!(region.core().drained());
+    assert!(d.core().drained());
 }
 
 #[test]
 fn barrier_stalls_worker_until_released() {
-    let (dfs, region, cred) = setup(1);
-    let c = region.client(ClientId(0));
-    c.create("/w/before", &cred, 0o644).unwrap();
+    let (dfs, mut d, cred) = setup(1);
+    d.clients()[0].create("/w/before", &cred, 0o644).unwrap();
 
-    let mut w = region.take_worker(0);
     // Client triggers a barrier from another thread (it blocks until the
     // worker reaches the marker and the dependent op completes).
-    let region2 = Arc::clone(&region);
+    let region2 = Arc::clone(d.region());
+    let w = d.worker(0);
     let t = std::thread::spawn(move || {
         region2.sync_barrier();
     });
@@ -137,17 +131,16 @@ fn barrier_stalls_worker_until_released() {
 
 #[test]
 fn creations_under_removed_dir_are_discarded() {
-    let (dfs, region, cred) = setup(1);
-    let c = region.client(ClientId(0));
-    c.mkdir("/w/doomed", &cred, 0o755).unwrap();
-    c.create("/w/doomed/a", &cred, 0o644).unwrap();
+    let (dfs, mut d, cred) = setup(1);
+    d.clients()[0].mkdir("/w/doomed", &cred, 0o755).unwrap();
+    d.clients()[0].create("/w/doomed/a", &cred, 0o644).unwrap();
 
-    let mut w = region.take_worker(0);
     // Run the dependent rmdir from another thread; the main thread drives
     // the worker through the barrier.
-    let region2 = Arc::clone(&region);
+    let region2 = Arc::clone(d.region());
+    let core = Arc::clone(d.core());
     let rm = std::thread::spawn(move || {
-        let c = region2.client(ClientId(0));
+        let c = region2.client(simnet::ClientId(0));
         let cred = Credentials::new(1, 1);
         c.rmdir("/w/doomed", &cred).unwrap();
         // After the rmdir returns, enqueue a create whose parent no
@@ -158,52 +151,45 @@ fn creations_under_removed_dir_are_discarded() {
 
     // Drive the worker until the region fully drains.
     let mut spins = 0;
-    while !region.core().drained() || !rm.is_finished() {
-        if let WorkerStep::Blocked(_) = w.step() { std::thread::yield_now() }
+    while !core.drained() || !rm.is_finished() {
+        if let WorkerStep::Blocked(_) = d.worker(0).step() { std::thread::yield_now() }
         spins += 1;
         assert!(spins < 2_000_000, "commit never converged");
     }
     rm.join().unwrap();
     // DFS: directory gone; cache: gone too.
     assert_eq!(dfs.client().stat("/w/doomed", &cred), Err(FsError::NotFound));
-    assert_eq!(c.stat("/w/doomed/a", &cred), Err(FsError::NotFound));
+    assert_eq!(d.clients()[0].stat("/w/doomed/a", &cred), Err(FsError::NotFound));
 }
 
 #[test]
 fn retry_budget_drops_unsatisfiable_ops() {
-    let profile = Arc::new(LatencyProfile::zero());
-    let dfs = DfsCluster::with_default_config(profile);
     let cred = Credentials::new(1, 1);
     let mut config = PaconConfig::new("/w", Topology::new(1, 1), cred).without_parent_check();
     config.max_commit_retries = 5;
-    let region = PaconRegion::launch_paused(config, &dfs).unwrap();
-    let c = region.client(ClientId(0));
+    let (dfs, mut d, cred) = launch(config);
     // Parent never created: with parent_check off the client accepts it,
     // and the commit layer must eventually give up.
-    c.create("/w/ghost/f", &cred, 0o644).unwrap();
-    let mut w = region.take_worker(0);
-    drain(&mut w);
-    assert!(region.core().drained());
-    assert_eq!(region.core().counters.get("dropped_retry_budget"), 1);
+    d.clients()[0].create("/w/ghost/f", &cred, 0o644).unwrap();
+    drain(d.worker(0));
+    assert!(d.core().drained());
+    assert_eq!(d.core().counters.get("dropped_retry_budget"), 1);
     assert_eq!(dfs.client().stat("/w/ghost/f", &cred), Err(FsError::NotFound));
 }
 
 #[test]
 fn commit_marks_cached_records_committed() {
-    let (_dfs, region, cred) = setup(1);
-    let c = region.client(ClientId(0));
-    c.create("/w/f", &cred, 0o644).unwrap();
-    let core = region.core();
+    let (_dfs, mut d, cred) = setup(1);
+    d.clients()[0].create("/w/f", &cred, 0o644).unwrap();
+    let core = Arc::clone(d.core());
     // Not yet committed.
     let key = core
         .cache_cluster
         .keys_with_prefix(b"/w/f");
     assert_eq!(key.len(), 1);
-    let mut w = region.take_worker(0);
-    drain(&mut w);
+    drain(d.worker(0));
     // The worker CAS-updated the record's committed flag.
-    let c2 = region.client(ClientId(0));
-    let stat = c2.stat("/w/f", &cred).unwrap();
+    let stat = d.clients()[0].stat("/w/f", &cred).unwrap();
     assert!(stat.is_file());
     assert_eq!(core.counters.get("committed"), 1);
 }
